@@ -22,12 +22,11 @@ fmt:
 
 # Quick human-readable benchmark pass at the CI scale.
 bench:
-	SWITCHPROBE_BENCH_PRESET=ci $(GO) test -run '^$$' -bench 'Fig3PacketLatencies|Table1PairSlowdowns|Table1StrictOrder|Table1GoroutineRanks|Table1TrainFused|Table1NoTrainFuse|Table1Traced|SchedCampaign|BulkTraffic|FaultTraffic' -benchtime 1x ./...
+	SWITCHPROBE_BENCH_PRESET=ci $(GO) test -run '^$$' -bench 'Fig3PacketLatencies|Table1PairSlowdowns|Table1StrictOrder|Table1GoroutineRanks|Table1Traced|SchedCampaign|BulkTraffic|FaultTraffic' -benchtime 1x ./...
 
 # Machine-readable benchmark record: runs the headline cold-path benchmarks
-# (including the relaxed-vs-strict, fused-vs-unfused and traced-vs-untraced
-# Table 1 A/B pairs)
-# and writes BENCH_PR10.json (name -> ns/op, events fired/elided, train
-# fusion counters, events/s).
+# (including the relaxed-vs-strict and traced-vs-untraced Table 1 A/B pairs)
+# and writes BENCH_PR10.json (name -> ns/op, events fired/elided, ledger
+# clamps, events/s).
 bench-json:
 	$(GO) run ./cmd/benchjson -preset ci -benchtime 1x -count 3 -out BENCH_PR10.json

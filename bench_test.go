@@ -77,9 +77,9 @@ func BenchmarkFig3PacketLatencies(b *testing.B) {
 
 // reportSimMetrics attaches the aggregated simulator activity of the
 // benchmark's runs: kernel events fired, events the cut-through fast path
-// elided, rank goroutine switches and non-parking fast resumes, train-fusion
-// activity, and per-run event throughput.  cmd/benchjson records these into
-// BENCH_PR10.json so the perf trajectory is tracked in-repo.
+// elided, rank goroutine switches and non-parking fast resumes, relaxed
+// credit-ledger clamps, and per-run event throughput.  cmd/benchjson records
+// these into BENCH_PR10.json so the perf trajectory is tracked in-repo.
 func reportSimMetrics(b *testing.B) {
 	u := experiments.SimUsage()
 	if u.Runs == 0 {
@@ -89,11 +89,6 @@ func reportSimMetrics(b *testing.B) {
 	b.ReportMetric(float64(u.EventsElided)/float64(b.N), "events_elided/op")
 	b.ReportMetric(float64(u.ProcSwitches)/float64(b.N), "rank_switches/op")
 	b.ReportMetric(float64(u.ProcFastResumes)/float64(b.N), "fast_resumes/op")
-	b.ReportMetric(float64(u.TrainsWalked)/float64(b.N), "trains_walked/op")
-	if u.TrainsWalked > 0 {
-		b.ReportMetric(float64(u.TrainPackets)/float64(u.TrainsWalked), "pkts_per_train")
-	}
-	b.ReportMetric(float64(u.TrainAborts)/float64(b.N), "train_aborts/op")
 	b.ReportMetric(float64(u.LedgerClamps)/float64(b.N), "ledger_clamps/op")
 	b.ReportMetric(u.EventsPerSecond(), "events/s")
 }
@@ -205,39 +200,6 @@ func BenchmarkTable1GoroutineRanks(b *testing.B) {
 	}
 	reportSimMetrics(b)
 }
-
-// benchTable1Fusion runs the cold Table 1 campaign with train fusion set by
-// the noFuse flag; BenchmarkTable1TrainFused / BenchmarkTable1NoTrainFuse
-// share it so the A/B pair differs only in the knob.
-func benchTable1Fusion(b *testing.B, noFuse bool) {
-	experiments.ResetSimUsage()
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.MustNewConfig(benchPreset(), 1)
-		cfg.Options.Machine.Net.NoTrainFuse = noFuse
-		s := experiments.NewSuite(cfg)
-		r, err := s.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.SlowdownPct[0][0], "fftw_self_pct")
-		}
-	}
-	reportSimMetrics(b)
-}
-
-// BenchmarkTable1TrainFused runs the cold Table 1 campaign with the relaxed
-// engine's train-fused NIC drains explicitly enabled (the default).  Paired
-// with BenchmarkTable1NoTrainFuse it records the fusion speedup in the
-// BENCH_PR9.json record; fusion is byte-identical to the per-packet walk, so
-// the pair differs only in wall clock.  CI's bench-smoke job gates on fused
-// staying faster than unfused and on trains_walked/op staying positive.
-func BenchmarkTable1TrainFused(b *testing.B) { benchTable1Fusion(b, false) }
-
-// BenchmarkTable1NoTrainFuse is the unfused oracle side of the A/B pair: the
-// identical campaign with Config.NoTrainFuse set, every pick walked by the
-// per-packet walkPacket path.
-func BenchmarkTable1NoTrainFuse(b *testing.B) { benchTable1Fusion(b, true) }
 
 // BenchmarkTable1Traced runs the cold Table 1 campaign with the structured
 // trace exporter armed at the default sampling rate, discarding the output.

@@ -62,7 +62,7 @@ func run(args []string) error {
 	cacheDir := fs.String("cache-dir", "", "directory of the persistent artifact cache (empty = in-memory only)")
 	noCache := fs.Bool("no-cache", false, "disable the persistent artifact cache even when -cache-dir is set")
 	workers := fs.Int("workers", 0, "relaxed mode: worker goroutines for leaf-parallel advance windows (0/1 = sequential; the schedule is identical for every value)")
-	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (same as "+core.StrictOrderEnv+"=1)")
+	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (changes run fingerprints and cache keys)")
 	rankRuntime := fs.String("rank-runtime", "", "rank execution runtime: continuation (default) or goroutine; the schedule is byte-identical for both")
 	faultPlanStr := fs.String("fault-plan", "", "inject an explicit fault schedule into every run: comma-separated kind:trunk@offset[:factor] events (e.g. down:leaf0.up0@2ms,up:leaf0.up0@7ms)")
 	mtbf := fs.Duration("mtbf", 0, "mean virtual time between generated trunk failures (set together with -mttr)")
@@ -87,9 +87,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *strictOrder {
-		cfg.Options.Machine.Net.StrictOrder = true
-	}
+	cfg.Options.Machine.Net.StrictOrder = *strictOrder
 	cfg.Options.Machine.Net.Workers = *workers
 	cfg.Options.MPI.Runtime = runtimeMode
 	topo, err := netsim.ParseTopology(*topology, *leaves, *uplinks)

@@ -6,7 +6,7 @@
 //
 //	swprobe -exp fig3|fig6|fig7|table1|fig8|fig9|all|xswitch|sched|faults [-preset paper|default|ci]
 //	        [-seed N] [-parallel N] [-csv DIR]
-//	        [-workers N] [-strict-order] [-no-train-fuse]
+//	        [-workers N] [-strict-order]
 //	        [-rank-runtime continuation|goroutine]
 //	        [-cache-dir DIR] [-no-cache]
 //	        [-cpuprofile FILE] [-memprofile FILE]
@@ -47,13 +47,9 @@
 //
 // -workers lets the relaxed engine execute independent leaf domains on that
 // many goroutines; the simulated schedule is byte-identical for every value,
-// so the flag is pure wall-clock. -no-train-fuse disables the relaxed
-// engine's train-fused NIC drains (same as SWITCHPROBE_NO_TRAIN_FUSE=1);
-// fusion is byte-identical to the per-packet walk, so this too is pure
-// wall-clock and keeps fingerprints unchanged. -strict-order instead selects
-// the strict golden-oracle event ordering (slower, byte-identical to
-// pre-relaxed releases); it changes run fingerprints and therefore cache
-// keys.
+// so the flag is pure wall-clock. -strict-order instead selects the strict
+// golden-oracle event ordering (slower, byte-identical to pre-relaxed
+// releases); it changes run fingerprints and therefore cache keys.
 //
 // The sched campaign streams a job arrival process through the
 // contention-aware scheduler simulator on star + fat-tree fabrics and
@@ -95,7 +91,6 @@ import (
 
 	"github.com/hpcperf/switchprobe/internal/cliflags"
 	"github.com/hpcperf/switchprobe/internal/cluster"
-	"github.com/hpcperf/switchprobe/internal/core"
 	"github.com/hpcperf/switchprobe/internal/engine"
 	"github.com/hpcperf/switchprobe/internal/experiments"
 	"github.com/hpcperf/switchprobe/internal/mpisim"
@@ -137,8 +132,7 @@ func run(args []string, out *os.File) error {
 	jobs := fs.Int("jobs", 0, "sched: arrival-stream length (0 = campaign default)")
 	arrivals := fs.Float64("arrivals", 0, "sched: mean job inter-arrival gap in virtual ms (0 = derive from load)")
 	workers := fs.Int("workers", 0, "relaxed mode: worker goroutines for leaf-parallel advance windows (0/1 = sequential; the schedule is identical for every value)")
-	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (same as "+core.StrictOrderEnv+"=1)")
-	noTrainFuse := fs.Bool("no-train-fuse", false, "relaxed mode: disable train-fused NIC drains (same as "+netsim.NoTrainFuseEnv+"=1; the schedule is byte-identical either way)")
+	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (changes run fingerprints and cache keys)")
 	rankRuntime := fs.String("rank-runtime", "", "rank execution runtime: continuation (default) or goroutine; the schedule is byte-identical for both")
 	faultPlanStr := fs.String("fault-plan", "", "faults: explicit fault schedule, comma-separated kind:trunk@offset[:factor] events (e.g. down:leaf0.up0@2ms,up:leaf0.up0@7ms,degrade:leaf1.up0@1ms:2)")
 	mtbf := fs.Duration("mtbf", 0, "faults: mean virtual time between generated trunk failures (set together with -mttr)")
@@ -178,11 +172,8 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	cfg.Parallelism = *parallel
-	if *strictOrder {
-		cfg.Options.Machine.Net.StrictOrder = true
-	}
+	cfg.Options.Machine.Net.StrictOrder = *strictOrder
 	cfg.Options.Machine.Net.Workers = *workers
-	cfg.Options.Machine.Net.NoTrainFuse = *noTrainFuse
 	cfg.Options.MPI.Runtime = runtimeMode
 	topo, err := netsim.ParseTopology(*topology, *leaves, *uplinks)
 	if err != nil {

@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 
 	"github.com/hpcperf/switchprobe/internal/cluster"
 	"github.com/hpcperf/switchprobe/internal/inject"
@@ -72,30 +71,12 @@ type Options struct {
 	PhaseWindows int
 }
 
-// StrictOrderEnv is the environment switch for the golden-oracle strict
-// event ordering (netsim.Config.StrictOrder): any value other than "",
-// "0" or "false" pins every default-constructed machine to the strict
-// pipeline.  It is resolved here, when options are constructed — never
-// inside netsim.New — so the run hashes and the artifact store always key
-// on the mode the simulation actually executes.
-const StrictOrderEnv = "SWITCHPROBE_STRICT_ORDER"
-
-func envStrictOrder() bool {
-	switch os.Getenv(StrictOrderEnv) {
-	case "", "0", "false":
-		return false
-	}
-	return true
-}
-
 // DefaultOptions returns paper-scale options: the Cab-like 18-node machine,
 // full problem sizes and an 80 ms measurement window.
 func DefaultOptions() Options {
-	machine := cluster.CabConfig()
-	machine.Net.StrictOrder = envStrictOrder()
 	return Options{
 		Seed:             1,
-		Machine:          machine,
+		Machine:          cluster.CabConfig(),
 		MPI:              mpisim.DefaultConfig(),
 		Probe:            probe.DefaultConfig(),
 		Scale:            workload.FullScale,

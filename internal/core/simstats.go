@@ -25,12 +25,13 @@ type SimUsage struct {
 	EventsElided    int64
 	ProcSwitches    int64
 	ProcFastResumes int64
-	// Relaxed-engine train fusion telemetry (netsim.Stats): fused trains,
-	// the packets they carried, fusion attempts cut short, and credit
-	// releases clamped to keep port ledgers sorted.
+	// TrainsWalked and TrainPackets always read zero: the relaxed engine
+	// walks every packet individually.  They stay for readers that still
+	// report them.
 	TrainsWalked int64
 	TrainPackets int64
-	TrainAborts  int64
+	// LedgerClamps counts relaxed-engine credit releases clamped to keep
+	// port ledgers sorted (netsim.Stats).
 	LedgerClamps int64
 	// Fault-injection telemetry (netsim.Stats): trunk failures applied,
 	// packets lost to down trunks and re-injected, failover route
@@ -74,10 +75,6 @@ func (u SimUsage) String() string {
 	if u.EventsFired+u.EventsElided > 0 {
 		elidedPct = 100 * float64(u.EventsElided) / float64(u.EventsFired+u.EventsElided)
 	}
-	pktsPerTrain := 0.0
-	if u.TrainsWalked > 0 {
-		pktsPerTrain = float64(u.TrainPackets) / float64(u.TrainsWalked)
-	}
 	faults := ""
 	if u.TrunksFailed > 0 || u.PacketsRetransmitted > 0 || u.RoutesRecomputed > 0 {
 		// Rendered only when fault injection was active, so fault-free
@@ -87,10 +84,10 @@ func (u SimUsage) String() string {
 			u.TrunksFailed, u.PacketsRetransmitted, float64(u.RetryBackoffNs)/1e6, u.RoutesRecomputed)
 	}
 	return fmt.Sprintf(
-		"%d runs, %.2fM events fired + %.2fM cut-through (%.1f%% saved, %.1f%% pooled, %.1f%% fast-path), %.2fM proc switches, %.2fM fast resumes, %.2fM trains (%.1f pkts/train, %.2fM aborts, %d clamps)%s, %.2fM events/s/run, %.1fx real time",
+		"%d runs, %.2fM events fired + %.2fM cut-through (%.1f%% saved, %.1f%% pooled, %.1f%% fast-path), %.2fM proc switches, %.2fM fast resumes, %d clamps%s, %.2fM events/s/run, %.1fx real time",
 		u.Runs, float64(u.EventsFired)/1e6, float64(u.EventsElided)/1e6, elidedPct, pooledPct, fastPct,
 		float64(u.ProcSwitches)/1e6, float64(u.ProcFastResumes)/1e6,
-		float64(u.TrainsWalked)/1e6, pktsPerTrain, float64(u.TrainAborts)/1e6, u.LedgerClamps, faults,
+		u.LedgerClamps, faults,
 		u.EventsPerSecond()/1e6, u.RealTimeFactor())
 }
 
@@ -110,9 +107,6 @@ var simUsage = struct {
 	eventsElided    *telemetry.Counter
 	procSwitches    *telemetry.Counter
 	procFastResumes *telemetry.Counter
-	trainsWalked    *telemetry.Counter
-	trainPackets    *telemetry.Counter
-	trainAborts     *telemetry.Counter
 	ledgerClamps    *telemetry.Counter
 	trunksFailed    *telemetry.Counter
 	retransmits     *telemetry.Counter
@@ -130,9 +124,6 @@ var simUsage = struct {
 	eventsElided:    telemetry.Default().Counter("swprobe_kernel_events_elided_total", "Heap events elided by the cut-through deferred lane"),
 	procSwitches:    telemetry.Default().Counter("swprobe_kernel_proc_switches_total", "Process context switches in the rank runtime"),
 	procFastResumes: telemetry.Default().Counter("swprobe_kernel_proc_fast_resumes_total", "Process resumes served without a context switch"),
-	trainsWalked:    telemetry.Default().Counter("swprobe_net_trains_walked_total", "Packet trains walked by the relaxed engine's fused drains"),
-	trainPackets:    telemetry.Default().Counter("swprobe_net_train_packets_total", "Packets carried by fused train walks"),
-	trainAborts:     telemetry.Default().Counter("swprobe_net_train_aborts_total", "Train fusion attempts cut short"),
 	ledgerClamps:    telemetry.Default().Counter("swprobe_net_ledger_clamps_total", "Credit releases clamped to keep port ledgers sorted"),
 	trunksFailed:    telemetry.Default().Counter("swprobe_fault_trunks_failed_total", "Trunk failures applied by fault plans"),
 	retransmits:     telemetry.Default().Counter("swprobe_fault_retransmits_total", "Packets lost to down trunks and re-injected"),
@@ -157,13 +148,6 @@ func recordRun(k *sim.Kernel, net *netsim.Network, wall time.Duration) {
 	simUsage.procFastResumes.Add(int64(st.ProcFastResumes))
 	if net != nil {
 		ns := net.Stats()
-		simUsage.trainsWalked.Add(ns.TrainsWalked)
-		simUsage.trainPackets.Add(ns.TrainPackets)
-		var aborts int64
-		for _, v := range ns.TrainAborts {
-			aborts += v
-		}
-		simUsage.trainAborts.Add(aborts)
 		simUsage.ledgerClamps.Add(ns.LedgerClamps)
 		simUsage.trunksFailed.Add(ns.TrunksFailed)
 		simUsage.retransmits.Add(ns.PacketsRetransmitted)
@@ -198,9 +182,6 @@ func SimUsageSnapshot() SimUsage {
 		EventsElided:    simUsage.eventsElided.Value(),
 		ProcSwitches:    simUsage.procSwitches.Value(),
 		ProcFastResumes: simUsage.procFastResumes.Value(),
-		TrainsWalked:    simUsage.trainsWalked.Value(),
-		TrainPackets:    simUsage.trainPackets.Value(),
-		TrainAborts:     simUsage.trainAborts.Value(),
 		LedgerClamps:    simUsage.ledgerClamps.Value(),
 
 		TrunksFailed:         simUsage.trunksFailed.Value(),
@@ -222,7 +203,6 @@ func ResetSimUsage() {
 		simUsage.runs, simUsage.eventsScheduled, simUsage.eventsFired,
 		simUsage.eventsCancelled, simUsage.poolReuses, simUsage.fastPathEvents,
 		simUsage.eventsElided, simUsage.procSwitches, simUsage.procFastResumes,
-		simUsage.trainsWalked, simUsage.trainPackets, simUsage.trainAborts,
 		simUsage.ledgerClamps, simUsage.trunksFailed, simUsage.retransmits,
 		simUsage.reroutes, simUsage.retryBackoffNS, simUsage.virtualNS,
 		simUsage.wallNS,

@@ -165,15 +165,14 @@ func (l *lane) pop() laneEvent {
 	return top
 }
 
-// SetFastPath enables or disables the cut-through fast path.  It is on by
-// default (or off for the whole process when SWITCHPROBE_NO_CUTTHROUGH is
-// set).  Simulated schedules are byte-identical either way — the switch
-// exists for regression tests and debugging.  It must be called before the
+// setFastPath enables or disables the cut-through fast path, which is on by
+// default.  Simulated schedules are byte-identical either way; tests turn it
+// off to get the kernel-event reference.  It must be called before the
 // network carries traffic: toggling mid-flight would strand or reorder
 // deferred events.
-func (n *Network) SetFastPath(enabled bool) {
+func (n *Network) setFastPath(enabled bool) {
 	if !n.lane.empty() {
-		panic("netsim: SetFastPath called with packets in flight")
+		panic("netsim: setFastPath called with packets in flight")
 	}
 	if enabled == n.fastOn {
 		return
@@ -187,9 +186,6 @@ func (n *Network) SetFastPath(enabled bool) {
 	}
 	n.fastOn = enabled
 }
-
-// FastPathEnabled reports whether the cut-through fast path is active.
-func (n *Network) FastPathEnabled() bool { return n.fastOn }
 
 // post schedules a pipeline event.  With the fast path on it goes to the
 // deferred lane, stamped with a real kernel sequence number; otherwise — or

@@ -29,7 +29,7 @@ func runBoth(t *testing.T, cfg Config, scenario func(k *sim.Kernel, n *Network))
 	run := func(enabled bool) ([]string, Stats) {
 		k := sim.NewKernel(424242)
 		n := MustNew(k, cfg)
-		n.SetFastPath(enabled)
+		n.setFastPath(enabled)
 		var tr traceRecorder
 		tr.attach(n)
 		scenario(k, n)
@@ -240,7 +240,7 @@ func TestFastPathWindowTruncation(t *testing.T) {
 			run := func(enabled bool) ([]string, Stats) {
 				k := sim.NewKernel(7)
 				n := MustNew(k, cfg)
-				n.SetFastPath(enabled)
+				n.setFastPath(enabled)
 				var tr traceRecorder
 				tr.attach(n)
 				for src := 0; src < cfg.Nodes; src++ {
@@ -278,7 +278,7 @@ func TestFastPathMultiWindowResume(t *testing.T) {
 	run := func(enabled bool) ([]string, Stats) {
 		k := sim.NewKernel(99)
 		n := MustNew(k, cfg)
-		n.SetFastPath(enabled)
+		n.setFastPath(enabled)
 		var tr traceRecorder
 		tr.attach(n)
 		_ = n.SendMessage(0, 1, 300_000, Flow{Class: "a"}, nil)
@@ -352,33 +352,16 @@ func TestFastPathObserverTimestamps(t *testing.T) {
 	}
 }
 
-// TestFastPathDisabledEnv checks the process-wide environment kill switch.
-func TestFastPathDisabledEnv(t *testing.T) {
-	t.Setenv("SWITCHPROBE_NO_CUTTHROUGH", "1")
-	k := sim.NewKernel(1)
-	n := MustNew(k, CabConfig())
-	if n.FastPathEnabled() {
-		t.Fatal("fast path enabled despite SWITCHPROBE_NO_CUTTHROUGH")
-	}
-	if err := n.SendProbe(0, 1, 1024, Flow{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if n.Stats().CutThroughEvents != 0 {
-		t.Fatal("events elided with fast path disabled")
-	}
-}
-
 // TestFastPathSecondNetworkFallsBack: only one lane may attach to a kernel;
 // a second network on the same kernel must quietly run the slow path.
 func TestFastPathSecondNetworkFallsBack(t *testing.T) {
 	k := sim.NewKernel(3)
 	n1 := MustNew(k, CabConfig())
 	n2 := MustNew(k, CabConfig())
-	if !n1.FastPathEnabled() {
+	if !n1.fastOn {
 		t.Fatal("first network should own the lane")
 	}
-	if n2.FastPathEnabled() {
+	if n2.fastOn {
 		t.Fatal("second network must fall back to the slow path")
 	}
 }

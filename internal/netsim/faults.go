@@ -37,9 +37,7 @@
 // already-down trunks and failures scheduled inside the committed window.
 // Worker-executed drains never traverse trunks (cross-leaf traffic forces
 // sequential windows — see workers.go), so loss and retransmit only ever
-// happen on the coordinator and parallel runs stay byte-identical.  Train
-// fusion is disabled while a plan is active: fused segments cache per-hop
-// port state that a transition could invalidate mid-train.
+// happen on the coordinator and parallel runs stay byte-identical.
 package netsim
 
 import (

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -102,9 +101,9 @@ type Config struct {
 	// (time, seq) event interleaving with all fabric delays drawn from a
 	// single shared RNG stream, byte-identical to ModelVersion 2 schedules.
 	// The zero value selects the relaxed mode (relaxed.go): per-flow RNG
-	// substreams and fused route walks, deterministic per root seed but only
-	// statistically equivalent to strict runs.  The mode changes simulated
-	// schedules, so it participates in Fingerprint.
+	// substreams and per-packet analytic route walks, deterministic per root
+	// seed but only statistically equivalent to strict runs.  The mode
+	// changes simulated schedules, so it participates in Fingerprint.
 	StrictOrder bool
 	// Workers caps the worker goroutines the relaxed mode may use to execute
 	// independent leaf-domain batches concurrently; 0 or 1 means fully
@@ -117,21 +116,7 @@ type Config struct {
 	// (faults.go); nil injects nothing.  An active plan changes simulated
 	// schedules, so it participates in Fingerprint (canonically encoded).
 	Faults *FaultPlan
-	// NoTrainFuse disables the relaxed engine's train fusion (relaxed.go):
-	// NIC drains fall back to the per-packet pick/walk loop, which is the
-	// oracle the fused path must reproduce byte-for-byte.  Fusion is a pure
-	// wall-clock knob — fused and unfused runs emit identical schedules for
-	// every seed and every Workers value — so like Workers it is deliberately
-	// EXCLUDED from Fingerprint and does not bump ModelVersion: cached
-	// artifacts stay valid either way.  The NoTrainFuseEnv environment
-	// variable forces it on process-wide.
-	NoTrainFuse bool
 }
-
-// NoTrainFuseEnv is the environment kill switch for relaxed-mode train
-// fusion: any non-empty value makes every Network behave as if
-// Config.NoTrainFuse were set (per-packet oracle drains).
-const NoTrainFuseEnv = "SWITCHPROBE_NO_TRAIN_FUSE"
 
 // CabConfig returns a configuration modelled after one bottom-level switch of
 // LLNL's Cab cluster: 18 nodes, ~5 GB/s links, ~1.25 µs idle one-way packet
@@ -178,10 +163,9 @@ func (c Config) Fingerprint() string {
 		// their exact version-3 encoding (modulo the ModelVersion bump).
 		fmt.Fprintf(&b, ";faults=%s", c.Faults.Fingerprint())
 	}
-	// Config.Workers and Config.NoTrainFuse are intentionally absent:
-	// parallel relaxed execution and train fusion are both byte-identical to
-	// the sequential per-packet engine, so they must not fork the artifact
-	// space.
+	// Config.Workers is intentionally absent: parallel relaxed execution is
+	// byte-identical to the sequential engine, so it must not fork the
+	// artifact space.
 	return b.String()
 }
 
@@ -437,12 +421,6 @@ type nic struct {
 	// which is what lets advance windows partition by leaf and run on
 	// worker goroutines (workers.go).
 	crossQueued int
-	// trainHS is drainTrain's per-segment hop-state scratch.  It lives on
-	// the nic rather than the fused walk's stack so the array is not
-	// re-zeroed on every train (segment loads overwrite every field); a NIC
-	// is drained by exactly one goroutine at a time — the coordinator or
-	// its leaf's worker — so the scratch is never shared.
-	trainHS [maxTrainHops]trainHop
 }
 
 // markActive records that queue idx holds packets.
@@ -623,12 +601,10 @@ type Network struct {
 	deliverFn    func(any)
 
 	// relaxed selects the schedule-relaxed execution mode (relaxed.go);
-	// fuse enables its train-fused drains (Config.NoTrainFuse and the
-	// NoTrainFuseEnv kill switch clear it); lookahead bounds how far ahead
-	// of the kernel clock a NIC drain may commit; the callbacks are its
-	// kernel-event fallbacks for when the lane is unavailable.
+	// lookahead bounds how far ahead of the kernel clock a NIC drain may
+	// commit; the callbacks are its kernel-event fallbacks for when the lane
+	// is unavailable.
 	relaxed         bool
-	fuse            bool
 	lookahead       sim.Duration
 	serResidual     sim.Duration
 	workers         int
@@ -687,7 +663,6 @@ type Network struct {
 	stallEvents      int64
 	cutThroughEvents int64
 	parallelWindows  int64
-	trains           trainStats
 	// Fault telemetry (faults.go).
 	trunksFailed         int64
 	packetsRetransmitted int64
@@ -718,7 +693,6 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 		layout:       layout,
 		rng:          k.NewRand("netsim"),
 		bytesByClass: make(map[string]int64),
-		fastOn:       os.Getenv("SWITCHPROBE_NO_CUTTHROUGH") == "",
 	}
 	link := Link{Bandwidth: cfg.LinkBandwidth, Delay: cfg.WireDelay}
 	queueCap := 16
@@ -782,22 +756,15 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	n.portDoneFn = func(a any) { n.portDone(a.(*packet)) }
 	n.deliverFn = func(a any) { n.deliver(a.(*packet)) }
 	n.relaxed = !cfg.StrictOrder
-	// Train fusion is disabled under an active fault plan: fused segments
-	// cache per-hop port state that a trunk transition could invalidate
-	// mid-train, and the conservative kill keeps the loss/reroute paths on
-	// the one audited walk.
-	n.fuse = n.relaxed && !cfg.NoTrainFuse && os.Getenv(NoTrainFuseEnv) == "" && !cfg.Faults.Active()
 	n.workers = cfg.Workers
 	n.relaxDeliverFn = func(a any) { n.relaxedDeliver(a.(*packet), n.k.Now()) }
 	n.relaxCompleteFn = func(a any) { n.relaxedComplete(a.(*packet), n.k.Now()) }
 	n.portWakeFn = func(a any) { n.relaxedPortWake(a.(*SwitchPort)) }
 	n.advanceFn = func(a any) { n.advance(a.(int32)) }
 	n.batchFn = func(any) { n.drainBatch() }
-	if n.fastOn && k.SetAux(n) != nil {
-		// Another network already runs its lane on this kernel; this one
-		// falls back to plain kernel events (schedules are identical).
-		n.fastOn = false
-	}
+	// A second network on the same kernel finds the lane slot taken and
+	// falls back to plain kernel events (schedules are identical).
+	n.fastOn = k.SetAux(n) == nil
 	if cfg.Faults.Active() {
 		n.setupFaults(cfg.Faults)
 	}
@@ -1015,10 +982,10 @@ func (n *Network) flowQueueFor(src int, flow Flow) (*nic, *flowQueue) {
 	if fq == nil {
 		fq = &flowQueue{flow: flow, exprSeen: -1, idx: len(nc.queues)}
 		if n.relaxed {
-			// Seed the flow's private delay substream now rather than at its
-			// first walk: the fused train path reads fq.rng directly, and an
-			// eager seed keeps the whole derivation allocation-free (the name
-			// is assembled in a stack buffer, never materialized as a string).
+			// Seed the flow's private delay substream now, when the flow is
+			// created: walks then read fq.rng directly with no first-use check,
+			// and the derivation stays allocation-free (the name is assembled
+			// in a stack buffer, never materialized as a string).
 			var nb [64]byte
 			b := append(nb[:0], "flow/"...)
 			b = strconv.AppendInt(b, int64(src), 10)
@@ -1336,18 +1303,6 @@ type Stats struct {
 	// goroutines (Config.Workers > 1 and the window partitioned by leaf).
 	// Execution telemetry only: it never affects the simulated schedule.
 	ParallelWindows int64
-	// TrainsWalked and TrainPackets count the fused same-flow packet trains
-	// the relaxed engine advanced in one pass and the packets they carried.
-	// Execution telemetry only (like ParallelWindows): fusion is byte-
-	// identical to the per-packet walk, so these never affect the schedule.
-	TrainsWalked int64
-	TrainPackets int64
-	// TrainAborts counts fusion attempts cut short, keyed by cause: "wake"
-	// (a wake-exempt competitor's admission came due mid-train), "probe"
-	// (head packet carries a delivery observer), "route" (route longer than
-	// the fused walk's fixed-size hop state), "cap" (per-segment packet cap
-	// reached).
-	TrainAborts map[string]int64
 	// LedgerClamps counts relLedger.push calls that had to clamp a release
 	// "marginally late" — a probe's shadow service finishing before the last
 	// committed release.  A drifting value flags credit-timing skew.
@@ -1374,20 +1329,12 @@ type Stats struct {
 func (n *Network) Stats() Stats {
 	n.drainGuard()
 	s := Stats{
-		PacketsDelivered: n.packetsDelivered,
-		BytesDelivered:   n.bytesDelivered,
-		BytesByClass:     make(map[string]int64, len(n.bytesByClass)),
-		StallEvents:      n.stallEvents,
-		CutThroughEvents: n.cutThroughEvents,
-		ParallelWindows:  n.parallelWindows,
-		TrainsWalked:     n.trains.trains,
-		TrainPackets:     n.trains.packets,
-		TrainAborts: map[string]int64{
-			"wake":  n.trains.abortWake,
-			"probe": n.trains.abortProbe,
-			"route": n.trains.abortRoute,
-			"cap":   n.trains.abortCap,
-		},
+		PacketsDelivered:     n.packetsDelivered,
+		BytesDelivered:       n.bytesDelivered,
+		BytesByClass:         make(map[string]int64, len(n.bytesByClass)),
+		StallEvents:          n.stallEvents,
+		CutThroughEvents:     n.cutThroughEvents,
+		ParallelWindows:      n.parallelWindows,
 		TrunksFailed:         n.trunksFailed,
 		PacketsRetransmitted: n.packetsRetransmitted,
 		RoutesRecomputed:     n.routesRecomputed,

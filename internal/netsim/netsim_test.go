@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +56,54 @@ func TestCabConfigShape(t *testing.T) {
 	}
 	if c.LinkBandwidth != 5e9 {
 		t.Fatalf("bandwidth = %v, want 5e9", c.LinkBandwidth)
+	}
+}
+
+// TestConfigFingerprintCoversEveryModelField enforces Fingerprint's contract
+// field by field: changing any model parameter must change the fingerprint,
+// and changing an execution knob (Workers) must not, or cached artifacts
+// would fork.  The table must name every Config field, so a new field
+// cannot be added without deciding which side it is on.
+func TestConfigFingerprintCoversEveryModelField(t *testing.T) {
+	mutations := map[string]func(*Config){
+		"Nodes":             func(c *Config) { c.Nodes = 12 },
+		"LinkBandwidth":     func(c *Config) { c.LinkBandwidth = 4e9 },
+		"MTU":               func(c *Config) { c.MTU = 2048 },
+		"WireDelay":         func(c *Config) { c.WireDelay = 300 * sim.Nanosecond },
+		"FabricDelay":       func(c *Config) { c.FabricDelay = 250 * sim.Nanosecond },
+		"FabricJitter":      func(c *Config) { c.FabricJitter = 100 * sim.Nanosecond },
+		"TailProb":          func(c *Config) { c.TailProb = 0.03 },
+		"TailDelay":         func(c *Config) { c.TailDelay = 3 * sim.Microsecond },
+		"EgressBufferBytes": func(c *Config) { c.EgressBufferBytes = 8 * 1024 },
+		"Topology":          func(c *Config) { c.Topology = FatTree{Leaves: 3, UplinksPerLeaf: 2} },
+		"StrictOrder":       func(c *Config) { c.StrictOrder = true },
+		"Faults": func(c *Config) {
+			c.Faults = &FaultPlan{Events: []FaultEvent{{At: sim.Millisecond, Trunk: "leaf0.up1", Kind: FaultTrunkDown}}}
+		},
+		"Workers": func(c *Config) { c.Workers = 4 },
+	}
+	executionOnly := map[string]bool{"Workers": true}
+
+	typ := reflect.TypeOf(Config{})
+	if typ.NumField() != len(mutations) {
+		t.Fatalf("Config has %d fields, the table covers %d", typ.NumField(), len(mutations))
+	}
+	base := CabConfig().Fingerprint()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		mutate, ok := mutations[name]
+		if !ok {
+			t.Fatalf("Config.%s has no fingerprint case", name)
+		}
+		c := CabConfig()
+		mutate(&c)
+		changed := c.Fingerprint() != base
+		if executionOnly[name] && changed {
+			t.Errorf("execution knob Config.%s changed the fingerprint", name)
+		}
+		if !executionOnly[name] && !changed {
+			t.Errorf("model parameter Config.%s left the fingerprint unchanged", name)
+		}
 	}
 }
 

@@ -28,15 +28,6 @@
 //     line blocking and back-pressure stalls shift a walk's hop times exactly
 //     like the strict event cascade would.
 //
-//   - Train-fused drains.  When one arbitration pass proves that every
-//     competing queue is blocked or empty — so consecutive picks must go to
-//     the same flow — drainTrain walks whole packet trains of that flow
-//     without re-running the scan, holding the route's port scalars in
-//     per-NIC scratch the walk owns (see drainTrain).  Fusion is
-//     byte-identical to the per-packet walk and excluded from fingerprints,
-//     like Workers; Config.NoTrainFuse / SWITCHPROBE_NO_TRAIN_FUSE keeps the
-//     unfused path selectable as the oracle.
-//
 //   - Conservative lookahead.  A NIC batch-commits consecutive picks ahead
 //     of the kernel clock, but never at or beyond the next instant the rest
 //     of the simulation can act (the kernel's next event or the lane's next
@@ -52,9 +43,9 @@
 // packet population — crosses the fabric with zero scheduled events.
 //
 // Relaxed runs are deterministic for a fixed root seed but NOT byte-identical
-// to strict runs; the strict mode remains selectable (Config.StrictOrder /
-// SWITCHPROBE_STRICT_ORDER) as the golden oracle, and the equivalence tests
-// assert the two agree distributionally.
+// to strict runs; the strict mode remains selectable (Config.StrictOrder) as
+// the golden oracle, and the equivalence tests assert the two agree
+// distributionally.
 package netsim
 
 import (
@@ -132,50 +123,6 @@ func (l *relLedger) apply(now sim.Time) int {
 		l.head = 0
 	}
 	return int(delta)
-}
-
-// trainStats counts the relaxed engine's train-fusion activity: trains
-// walked, packets they carried, and fusion attempts abandoned by cause.
-// Execution telemetry only — fusion is byte-identical to the per-packet
-// walk, so none of these ever influence the simulated schedule.
-type trainStats struct {
-	trains  int64 // fused trains that walked at least one packet
-	packets int64 // packets walked inside fused trains
-	// Abort causes, counted per cut-short fusion attempt:
-	abortWake  int64 // a wake-exempt competitor's admission came due mid-train
-	abortProbe int64 // head packet carries an onDeliver observer
-	abortRoute int64 // route longer than the fused walk's hop-state array
-	abortCap   int64 // per-segment packet cap reached
-}
-
-// add folds o into t (worker-sink merge).
-func (t *trainStats) add(o *trainStats) {
-	t.trains += o.trains
-	t.packets += o.packets
-	t.abortWake += o.abortWake
-	t.abortProbe += o.abortProbe
-	t.abortRoute += o.abortRoute
-	t.abortCap += o.abortCap
-}
-
-// endTrain settles one finished train's counters.
-func (t *trainStats) endTrain(walked int64) {
-	if walked > 0 {
-		t.trains++
-		t.packets += walked
-	}
-}
-
-// trainWriteback commits a fused segment's hop locals back to the route's
-// ports.
-func trainWriteback(route []*SwitchPort, hs *[maxTrainHops]trainHop) {
-	for h := range route {
-		pt := route[h]
-		pt.freeAt = hs[h].freeAt
-		pt.relArrival = hs[h].relArrival
-		pt.busyNS += hs[h].busy
-		pt.buffered = hs[h].buffered
-	}
 }
 
 // relAdmit returns the earliest instant ≥ t at which the port's input buffer
@@ -337,9 +284,7 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 		var cfq *flowQueue
 		var chosenFirst *SwitchPort
 		var denied *SwitchPort // port that already refused admission this pass
-		var wakeQ *flowQueue   // first wakingPort-bound blocked queue in scan order
 		anyBlocked := false
-		scanStart := nc.next
 		// Round-robin over the non-empty queues only: two bitmap segments,
 		// nc.next..total-1 then 0..nc.next-1, visiting exactly the indices
 		// the dense scan would have visited in the same order (empty queues
@@ -365,17 +310,7 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 				// this pass.
 				if (n.faultsOn && first.down) || first == denied || (len(first.relWaiters) > 0 && first != n.wakingPort) || n.relAdmit(first, p.size, t) > t {
 					anyBlocked = true
-					if wakeQ == nil && first == n.wakingPort {
-						// Remembered for train fusion: the one competitor whose
-						// blocked status can change mid-drain (see below).  The
-						// scan visits blocked queues in exactly the order the
-						// arming condition cares about, so tracking the first
-						// here replaces a second ring scan at arming time.
-						wakeQ = fq
-					}
-					if first != denied {
-						denied = first
-					}
+					denied = first
 					if !nc.isWaitingOn(first) {
 						nc.waitingOn = append(nc.waitingOn, first)
 						first.relWaiters = append(first.relWaiters, nc)
@@ -413,47 +348,11 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 			return
 		}
 		nc.stalled = false
-		// Train fusion: a pass that wrapped the full ring before picking
-		// (nc.next returned to where the scan started — always true for a
-		// lone non-empty queue) proves the competition static: every other
-		// non-empty queue was visited first and found blocked, registering
-		// on its denied port's waiter FIFO, so later passes short-circuit on
-		// relWaiters without consulting the ledger — which makes further
-		// passes pure re-derivations of `denied`/`anyBlocked` with no side
-		// effects.  drainTrain walks this pick and the next ones without
-		// re-scanning.  Probe picks and overlong routes take the per-packet
-		// walk below; the next pick can re-arm.
-		//
-		// A drain running under a port wake has one dynamic element: queues
-		// heading to wakingPort bypass the FIFO short-circuit and re-consult
-		// the ledger each pass, so their blocked status can change as t
-		// grows.  Only the FIRST such queue in scan order matters — once it
-		// is judged blocked it lands in the denied cache and every later
-		// wakingPort queue short-circuits on it, and the moment it unblocks
-		// the scan picks it (it precedes cfq, which sits last in scan
-		// order).  The train re-checks exactly that queue's admission (the
-		// wakeQ the scan above remembered) before every pick and hands back
-		// to the scan when it comes due.
-		//
-		// Arming also requires something to amortize against: at least one
-		// more packet queued behind the pick, and enough horizon room that
-		// the pick after this one passes the train's own horizon check
-		// (t+ser < horizon is exactly that check's predicate — when it
-		// fails, the train would walk only the arming pick and park, pure
-		// setup overhead for zero fused picks).
 		var ser sim.Duration
 		if sink != nil {
 			ser = sink.serialization(n.cfg.LinkBandwidth, chosen.size)
 		} else {
 			ser = n.serialization(chosen.size)
-		}
-		if n.fuse && nc.next == scanStart && chosen.onDeliver == nil && len(chosen.route) <= maxTrainHops && !cfq.q.empty() && t.Add(ser) < horizon {
-			var done bool
-			t, done = n.drainTrain(nc, cfq, chosen, denied, anyBlocked, wakeQ, t, horizon, sink)
-			if done {
-				return
-			}
-			continue
 		}
 		if n.crossLeaf(chosen) {
 			nc.crossQueued--
@@ -465,355 +364,6 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 		n.walkPacket(chosen, cfq, t, ser, sink)
 		t = t.Add(ser)
 		nc.freeAt = t
-	}
-}
-
-// Fused-train sizing.  maxTrainHops bounds the per-hop port state the fused
-// walk keeps in the NIC's scratch array (the built-in topologies route over at most 3
-// ports; 8 leaves slack for custom layouts — longer routes fall back to the
-// per-packet walk).  maxTrainPicks bounds how many packets one
-// segment commits between bookkeeping breaks.
-const (
-	maxTrainHops  = 8
-	maxTrainPicks = 64
-)
-
-// trainHop is one route port's state held in the NIC's scratch array across a fused
-// segment: the scalars walkPacket reads and writes per hop, loaded once at
-// segment start and written back once at segment end, plus the admission
-// query's forward pointer into the port's sorted ledger.
-type trainHop struct {
-	freeAt     sim.Time
-	relArrival sim.Time
-	busy       sim.Duration // busyNS accumulated this segment
-	buffered   int
-	lo         int // first ledger entry a future admission search can need
-}
-
-// relFold folds a port's matured credit releases into a hop's local buffered
-// count — relAdmit's fold step against train-local state.  The fold is
-// idempotent during one drain (the clock is fixed and every in-train push
-// lands strictly in the future), so folding here or on the port directly
-// commutes with the segment writeback.
-func (n *Network) relFold(pt *SwitchPort, hs *trainHop) {
-	led := &pt.led
-	if led.head < len(led.q) && led.q[led.head].at <= n.k.Now() {
-		hs.buffered -= led.apply(n.k.Now())
-		if hs.lo < led.head {
-			hs.lo = led.head
-		}
-		if hs.lo > len(led.q) { // apply drained the queue and reset it
-			hs.lo = len(led.q)
-		}
-	}
-}
-
-// relAdmitFrom is relAdmit against a hop's local state: identical fold,
-// identical capacity arithmetic, but the search resumes from the hop's
-// forward pointer instead of binary-searching from scratch.  Within a train
-// the required cumulative release (`need`) is non-decreasing — each admitted
-// packet reserves more bytes, and folding matured releases moves bytes from
-// `buffered` to `applied` without changing their sum — and the ledger only
-// grows at the tail, so the first satisfying entry never moves backwards.
-func (n *Network) relAdmitFrom(pt *SwitchPort, hs *trainHop, size int, t sim.Time) sim.Time {
-	led := &pt.led
-	n.relFold(pt, hs)
-	if hs.buffered+size <= pt.capacity {
-		return t
-	}
-	need := int64(hs.buffered+size-pt.capacity) + led.applied
-	i := hs.lo
-	if i < led.head {
-		i = led.head
-	}
-	for i < len(led.q) && led.q[i].cum < need {
-		i++
-	}
-	if i == len(led.q) {
-		panic("netsim: relaxed admission found no scheduled release (unbalanced credit reserve)")
-	}
-	hs.lo = i
-	if at := led.q[i].at; at > t {
-		return at
-	}
-	return t
-}
-
-// relAdmitAt is relAdmit's search step against an externally-held buffered
-// count, read-only and by bisection.  The wake-competitor recheck uses it
-// because its query sizes interleave non-monotonically with the train's own
-// admissions, so it cannot share the hop's forward pointer.
-func (n *Network) relAdmitAt(pt *SwitchPort, buffered, size int, t sim.Time) sim.Time {
-	led := &pt.led
-	if buffered+size <= pt.capacity {
-		return t
-	}
-	need := int64(buffered+size-pt.capacity) + led.applied
-	lo, hi := led.head, len(led.q)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if led.q[mid].cum < need {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(led.q) {
-		panic("netsim: relaxed admission found no scheduled release (unbalanced credit reserve)")
-	}
-	if at := led.q[lo].at; at > t {
-		return at
-	}
-	return t
-}
-
-// drainTrain walks consecutive picks of one flow as a fused train, without
-// re-running drainNic's arbitration scan between them.  The caller has
-// proven the competition static (see the trigger comment in drainNic):
-// every other non-empty queue stays blocked via the denied/relWaiters
-// short-circuits, so each further unfused pass would pick fq's head again
-// with the same `denied` and `anyBlocked`.  The train replays exactly those
-// picks — same admission checks, same draw order on the flow's substream,
-// same ledger pushes, same posts — with the per-hop port scalars held in
-// the NIC's scratch hop array and committed once per same-destination segment.
-//
-// p0 is the arming pick itself: already popped and admitted by the scan (so
-// its horizon, wake and admission checks are settled), but not yet walked —
-// the train walks it first so the whole arbitration window fuses, not just
-// its tail.
-//
-// Under a port wake, qw is the one competitor queue whose blocked status can
-// change mid-drain (see the trigger comment); its admission is re-checked at
-// every pick, exactly as the unfused scan would, and fusion stops the moment
-// it comes due.
-//
-// The returned time is the advanced uplink cursor.  done=true means the
-// drain is finished (parked, stalled, or queue empty — all terminal states
-// drainNic itself would have entered); done=false means fusion stopped for
-// a packet the fused walk cannot handle (probe head, overlong route, segment
-// cap) or for a wake competitor coming due, and the caller's per-packet loop
-// should continue.
-func (n *Network) drainTrain(nc *nic, fq *flowQueue, p0 *packet, denied *SwitchPort, anyBlocked bool, qw *flowQueue, t sim.Time, horizon sim.Time, sink *relSink) (sim.Time, bool) {
-	ts := &n.trains
-	if sink != nil {
-		ts = &sink.trains
-	}
-	rng := &fq.rng          // per-flow substream; fused walks draw in walkPacket's exact order
-	hs := &nc.trainHS       // per-NIC scratch: segment loads overwrite every field
-	var route []*SwitchPort // current segment's shared route (nil before first)
-	segDst := -1
-	segBlocked, segCross := false, false
-	wakeIdx := -1 // wakingPort's position in the segment route, -1 if absent
-	picks, walked := 0, int64(0)
-
-	// Every exit below writes the current segment back (trainWriteback)
-	// before anything that reads port state (wake arms, parking), then
-	// settles counters (endTrain).  Both are free functions rather than
-	// closures so the loop's hot locals stay in registers instead of a
-	// shared capture frame.
-
-	fq.exprPending = false // per-pick store in drainNic; idempotent here
-	p := p0
-	for {
-		if p == nil {
-			// Checks the arming pick already settled in the scan.
-			if t >= horizon {
-				// The unfused pass would park before its next scan.
-				trainWriteback(route, hs)
-				ts.endTrain(walked)
-				nc.freeAt = t
-				if sink != nil {
-					nc.parked = true
-					sink.parked = true
-				} else {
-					n.park(nc)
-				}
-				return t, true
-			}
-			if qw != nil {
-				// Wake-drain recheck, replicating the unfused scan's visit
-				// of the first wakingPort-bound competitor: it is exempt
-				// from the FIFO short-circuit, so the scan consults the
-				// ledger for it each pass and picks it the instant its
-				// admission comes due.  When the waking port sits on this
-				// train's own route the fold and the buffered count live in
-				// the hop locals; otherwise the port's direct state is
-				// current and plain relAdmit is the exact check.
-				pw := qw.q.front()
-				var adm sim.Time
-				if wakeIdx >= 0 {
-					n.relFold(n.wakingPort, &hs[wakeIdx])
-					adm = n.relAdmitAt(n.wakingPort, hs[wakeIdx].buffered, pw.size, t)
-				} else {
-					adm = n.relAdmit(n.wakingPort, pw.size, t)
-				}
-				if adm <= t {
-					trainWriteback(route, hs)
-					ts.endTrain(walked)
-					ts.abortWake++
-					nc.freeAt = t
-					return t, false
-				}
-			}
-			if fq.q.empty() {
-				// The unfused pass would find every queue blocked or empty:
-				// head-of-line stall if any competitor is blocked, plain
-				// return otherwise.  (Re-visiting registered competitors has
-				// no side effects — their registrations already exist.)
-				trainWriteback(route, hs)
-				ts.endTrain(walked)
-				if anyBlocked {
-					nc.stalled = true
-					if sink != nil {
-						sink.stalls++
-					} else {
-						n.stallEvents++
-					}
-				}
-				nc.freeAt = t
-				return t, true
-			}
-			p = fq.q.front()
-			if p.onDeliver != nil {
-				// Probe heads skip buffer admission and post per-packet;
-				// hand back to the per-packet loop, which can re-fuse after.
-				trainWriteback(route, hs)
-				ts.endTrain(walked)
-				ts.abortProbe++
-				nc.freeAt = t
-				return t, false
-			}
-		}
-		if route == nil || p.dst != segDst {
-			// New same-destination segment: commit the previous segment's
-			// ports, load the new route's scalars, and re-derive the checks
-			// that are static per first-port (the hypothetical unfused pass
-			// would evaluate them fresh for the new head).
-			if len(p.route) > maxTrainHops {
-				trainWriteback(route, hs)
-				ts.endTrain(walked)
-				ts.abortRoute++
-				nc.freeAt = t
-				return t, false
-			}
-			trainWriteback(route, hs)
-			route = p.route
-			segDst = p.dst
-			for h := range route {
-				pt := route[h]
-				hs[h] = trainHop{freeAt: pt.freeAt, relArrival: pt.relArrival, buffered: pt.buffered, lo: pt.led.head}
-			}
-			first := route[0]
-			segBlocked = first == denied || (len(first.relWaiters) > 0 && first != n.wakingPort)
-			segCross = n.crossLeaf(p)
-			wakeIdx = -1
-			if qw != nil {
-				for h := range route {
-					if route[h] == n.wakingPort {
-						wakeIdx = h
-						break
-					}
-				}
-			}
-			picks = 0
-		}
-		if picks == maxTrainPicks {
-			trainWriteback(route, hs)
-			ts.endTrain(walked)
-			ts.abortCap++
-			nc.freeAt = t
-			return t, false
-		}
-		if p != p0 {
-			// The arming pick p0 was admitted and popped by the scan; later
-			// picks run the checks here.
-			if segBlocked || (route[0].capacity != 0 && n.relAdmitFrom(route[0], &hs[0], p.size, t) > t) {
-				// Denied exactly as the unfused scan would deny it
-				// (including the denied-cache and waiter-FIFO
-				// short-circuits): register, stall.
-				trainWriteback(route, hs)
-				ts.endTrain(walked)
-				first := route[0]
-				if !nc.isWaitingOn(first) {
-					nc.waitingOn = append(nc.waitingOn, first)
-					first.relWaiters = append(first.relWaiters, nc)
-					n.ensureRelWake(first, sink)
-				}
-				nc.stalled = true
-				if sink != nil {
-					sink.stalls++
-				} else {
-					n.stallEvents++
-				}
-				nc.freeAt = t
-				return t, true
-			}
-			// Pick.  nc.next is already fq.idx+1 from the arming pick, and
-			// nc.stalled is already false.
-			fq.q.pop()
-			if fq.q.empty() {
-				nc.clearActive(fq.idx)
-			}
-		}
-		if segCross {
-			nc.crossQueued--
-		}
-		size := p.size
-		var ser sim.Duration
-		if sink != nil {
-			ser = sink.serialization(n.cfg.LinkBandwidth, size)
-		} else {
-			ser = n.serialization(size)
-		}
-		if route[0].capacity != 0 {
-			hs[0].buffered += size // credit reserved while in flight
-		}
-		nc.busyNS += ser
-		// Fused walk: walkPacket's per-hop pipeline on the segment's locals.
-		tp := t.Add(ser) // leaves the NIC
-		for h := 0; h < len(route); h++ {
-			pt := route[h]
-			b := tp.Add(pt.link.Delay + n.fabricDelayFrom(rng))
-			arrived := b
-			// Arrival-ordered shadow service (see walkPacket).
-			base := hs[h].relArrival
-			if arrived > base {
-				base = arrived
-			}
-			if w := hs[h].freeAt - base; w > 0 {
-				b = b.Add(sim.Duration(w))
-			}
-			if arrived > hs[h].relArrival {
-				hs[h].relArrival = arrived
-			}
-			if h+1 < len(route) {
-				if next := route[h+1]; next.capacity != 0 {
-					b = n.relAdmitFrom(next, &hs[h+1], size, b)
-					hs[h+1].buffered += size // credit reserved while in flight
-				}
-			}
-			e := b.Add(ser)
-			if hs[h].freeAt > e {
-				hs[h].freeAt = hs[h].freeAt.Add(ser) // splice into the backlog
-			} else {
-				hs[h].freeAt = e
-			}
-			hs[h].busy += ser
-			if pt.capacity != 0 {
-				pt.led.push(e, size) // per-packet entries: future searches bisect them
-			}
-			tp = e
-		}
-		arrive := tp.Add(route[len(route)-1].link.Delay)
-		n.finishWalk(p, fq, arrive, sink)
-		t = t.Add(ser)
-		nc.freeAt = t
-		picks++
-		walked++
-		if p == p0 {
-			p0 = nil // recycled by finishWalk; drop the sentinel before reuse
-		}
-		p = nil
 	}
 }
 
@@ -978,10 +528,9 @@ func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Du
 	n.finishWalk(p, fq, arrive, sink)
 }
 
-// finishWalk commits the bookkeeping tail of a completed route walk —
-// delivery counters, observer/probe posts, message completion, packet
-// recycling — shared verbatim by the per-packet walk and the train-fused
-// walk so the two paths cannot drift.
+// finishWalk commits the bookkeeping tail of a completed route walk:
+// delivery counters, observer/probe posts, message completion and packet
+// recycling.
 func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time, sink *relSink) {
 	size := p.size
 	fq.bytes += int64(size)

@@ -51,7 +51,6 @@ type relSink struct {
 	packets  int64
 	bytes    int64
 	stalls   int64
-	trains   trainStats
 	// Worker-local copy of Network.serialization's two-entry memo: the memo
 	// is pure (serialization time is a function of size alone), so a stale
 	// worker copy can never produce a different value, only a recompute.
@@ -88,7 +87,6 @@ func (s *relSink) reset() {
 	}
 	s.recycled = s.recycled[:0]
 	s.packets, s.bytes, s.stalls = 0, 0, 0
-	s.trains = trainStats{}
 }
 
 // crossLeaf reports whether walking p would touch ports outside its source
@@ -208,7 +206,6 @@ func (n *Network) advanceParallel(list []*nic, horizon sim.Time) bool {
 		n.packetsDelivered += s.packets
 		n.bytesDelivered += s.bytes
 		n.stallEvents += s.stalls
-		n.trains.add(&s.trains)
 		s.reset()
 	}
 	for _, leaf := range used {

@@ -6,12 +6,6 @@ import (
 	"strconv"
 )
 
-// splitmixGamma is the splitmix64 state increment.  The generator's state
-// advances by exactly one gamma per draw, which is what makes Fill and
-// Rewind possible: k draws ahead (or back) is a single multiply-add on the
-// state, not a replay.
-const splitmixGamma = 0x9e3779b97f4a7c15
-
 // Substream is a minimal deterministic random stream built on splitmix64.
 // It exists for simulation hot paths that draw millions of variates: a draw
 // is one 64-bit mix (a few arithmetic instructions, no heap state, no
@@ -71,64 +65,25 @@ func (k *Kernel) NewSubstreamBytes(name []byte) Substream {
 
 // Uint64 returns the next 64 random bits (splitmix64).
 func (s *Substream) Uint64() uint64 {
-	s.state += splitmixGamma
-	return mix64(s.state)
-}
-
-// mix64 is the splitmix64 output function applied to one state value.
-func mix64(z uint64) uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// Fill overwrites dst with the next len(dst) values of the stream — exactly
-// the sequence len(dst) successive Uint64 calls would have produced.  Batch
-// consumers (the network layer's train-fused walks) prefetch a block of raw
-// draws in one pass, convert them with the U64* helpers below, and Rewind
-// whatever they did not consume, so the stream position stays identical to a
-// draw-by-draw caller's.
-func (s *Substream) Fill(dst []uint64) {
-	state := s.state
-	for i := range dst {
-		state += splitmixGamma
-		dst[i] = mix64(state)
-	}
-	s.state = state
-}
-
-// Rewind steps the stream back n draws, un-doing the last n Uint64 (or
-// Fill-delivered) values: the state moves by a fixed gamma per draw, so the
-// position is a single multiply-subtract.  Rewinding past draws that were
-// already consumed by a variate breaks reproducibility; only un-draw
-// prefetched values that were never used.
-func (s *Substream) Rewind(n int) {
-	s.state -= uint64(n) * splitmixGamma
-}
-
-// U64Int63n maps one raw 64-bit draw to the uniform variate in [0, n) that
-// Int63n derives from it, via the unbiased* multiply-shift range reduction
-// (*bias < 2^-64+lg n, far below anything a simulation statistic can
-// resolve, and rejection-free so draw cost is constant).
-func U64Int63n(u uint64, n int64) int64 {
-	hi, _ := bits.Mul64(u, uint64(n))
-	return int64(hi)
-}
-
-// U64Float64 maps one raw 64-bit draw to the uniform variate in [0, 1) that
-// Float64 derives from it.
-func U64Float64(u uint64) float64 {
-	return float64(u>>11) / (1 << 53)
-}
-
-// Int63n returns a uniform variate in [0, n) for n > 0.
+// Int63n returns a uniform variate in [0, n) for n > 0, via the unbiased*
+// multiply-shift range reduction (*bias < 2^-64+lg n, far below anything a
+// simulation statistic can resolve, and rejection-free so draw cost is
+// constant).
 func (s *Substream) Int63n(n int64) int64 {
-	return U64Int63n(s.Uint64(), n)
+	hi, _ := bits.Mul64(s.Uint64(), uint64(n))
+	return int64(hi)
 }
 
 // Float64 returns a uniform variate in [0, 1).
 func (s *Substream) Float64() float64 {
-	return U64Float64(s.Uint64())
+	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
 // ExpFloat64 returns an exponential variate with mean 1 via inversion.
