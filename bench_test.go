@@ -20,7 +20,6 @@ import (
 	"github.com/hpcperf/switchprobe/internal/experiments"
 	"github.com/hpcperf/switchprobe/internal/inject"
 	"github.com/hpcperf/switchprobe/internal/model"
-	"github.com/hpcperf/switchprobe/internal/mpisim"
 	"github.com/hpcperf/switchprobe/internal/telemetry"
 	"github.com/hpcperf/switchprobe/internal/workload"
 )
@@ -77,8 +76,8 @@ func BenchmarkFig3PacketLatencies(b *testing.B) {
 
 // reportSimMetrics attaches the aggregated simulator activity of the
 // benchmark's runs: kernel events fired, events the cut-through fast path
-// elided, rank goroutine switches and non-parking fast resumes, relaxed
-// credit-ledger clamps, and per-run event throughput.  cmd/benchjson records
+// elided, non-parking rank fast resumes, relaxed credit-ledger clamps, and
+// per-run event throughput.  cmd/benchjson records
 // these into BENCH_PR10.json so the perf trajectory is tracked in-repo.
 func reportSimMetrics(b *testing.B) {
 	u := experiments.SimUsage()
@@ -87,7 +86,6 @@ func reportSimMetrics(b *testing.B) {
 	}
 	b.ReportMetric(float64(u.EventsFired)/float64(b.N), "events_fired/op")
 	b.ReportMetric(float64(u.EventsElided)/float64(b.N), "events_elided/op")
-	b.ReportMetric(float64(u.ProcSwitches)/float64(b.N), "rank_switches/op")
 	b.ReportMetric(float64(u.ProcFastResumes)/float64(b.N), "fast_resumes/op")
 	b.ReportMetric(float64(u.LedgerClamps)/float64(b.N), "ledger_clamps/op")
 	b.ReportMetric(u.EventsPerSecond(), "events/s")
@@ -165,30 +163,6 @@ func BenchmarkTable1StrictOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.MustNewConfig(benchPreset(), 1)
 		cfg.Options.Machine.Net.StrictOrder = true
-		s := experiments.NewSuite(cfg)
-		r, err := s.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.SlowdownPct[0][0], "fftw_self_pct")
-		}
-	}
-	reportSimMetrics(b)
-}
-
-// BenchmarkTable1GoroutineRanks runs the identical cold Table 1 campaign with
-// simulated ranks on parked goroutines (Config.Runtime = goroutine), the
-// pre-continuation runtime.  Paired with BenchmarkTable1PairSlowdowns — which
-// runs the continuation runtime, the default — it records the goroutine-free
-// rank runtime's speedup in the BENCH_PR7.json record, and CI's bench-smoke
-// job gates on the continuation runtime staying faster and on its
-// rank_switches/op staying at least 10x below this benchmark's.
-func BenchmarkTable1GoroutineRanks(b *testing.B) {
-	experiments.ResetSimUsage()
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.MustNewConfig(benchPreset(), 1)
-		cfg.Options.MPI.Runtime = mpisim.RuntimeGoroutine
 		s := experiments.NewSuite(cfg)
 		r, err := s.Table1()
 		if err != nil {

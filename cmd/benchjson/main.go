@@ -12,8 +12,7 @@
 // are exactly what a developer reproduces by hand), parses the standard
 // benchmark output format including custom b.ReportMetric columns (the
 // headline benchmarks report events_fired/op, events_elided/op,
-// rank_switches/op, fast_resumes/op, ledger_clamps/op and events/s), and
-// writes:
+// fast_resumes/op, ledger_clamps/op and events/s), and writes:
 //
 //	{
 //	  "preset": "ci",
@@ -22,7 +21,7 @@
 //	    "BenchmarkFig3PacketLatencies": {
 //	      "iterations": 3,
 //	      "ns_per_op": 7.2e8,
-//	      "metrics": {"events_fired/op": ..., "rank_switches/op": ..., "events/s": ...}
+//	      "metrics": {"events_fired/op": ..., "fast_resumes/op": ..., "events/s": ...}
 //	    }, ...
 //	  }
 //	}
@@ -58,7 +57,7 @@ type Report struct {
 }
 
 func main() {
-	bench := flag.String("bench", "Fig3PacketLatencies|Table1PairSlowdowns|Table1StrictOrder|Table1GoroutineRanks|Table1Traced|SchedCampaign|BulkTraffic|FaultTraffic", "benchmark regexp passed to go test -bench")
+	bench := flag.String("bench", "Fig3PacketLatencies|Table1PairSlowdowns|Table1StrictOrder|Table1Traced|SchedCampaign|BulkTraffic|FaultTraffic", "benchmark regexp passed to go test -bench")
 	preset := flag.String("preset", "ci", "SWITCHPROBE_BENCH_PRESET for the run (ci, default or paper)")
 	benchtime := flag.String("benchtime", "1x", "go test -benchtime value")
 	count := flag.Int("count", 1, "go test -count value; the minimum ns/op across repetitions is reported")

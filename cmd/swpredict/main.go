@@ -8,7 +8,6 @@
 //	          [-seed N] [-validate] [-topology star|fattree] [-leaves N]
 //	          [-uplinks N] [-placement pack|spread|random]
 //	          [-workers N] [-strict-order]
-//	          [-rank-runtime continuation|goroutine]
 //	          [-cache-dir DIR] [-no-cache]
 //	          [-fault-plan EVENTS] [-mtbf DUR -mttr DUR]
 //
@@ -35,7 +34,6 @@ import (
 	"github.com/hpcperf/switchprobe/internal/engine"
 	"github.com/hpcperf/switchprobe/internal/experiments"
 	"github.com/hpcperf/switchprobe/internal/model"
-	"github.com/hpcperf/switchprobe/internal/mpisim"
 	"github.com/hpcperf/switchprobe/internal/netsim"
 	"github.com/hpcperf/switchprobe/internal/report"
 	"github.com/hpcperf/switchprobe/internal/workload"
@@ -63,7 +61,6 @@ func run(args []string) error {
 	noCache := fs.Bool("no-cache", false, "disable the persistent artifact cache even when -cache-dir is set")
 	workers := fs.Int("workers", 0, "relaxed mode: worker goroutines for leaf-parallel advance windows (0/1 = sequential; the schedule is identical for every value)")
 	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (changes run fingerprints and cache keys)")
-	rankRuntime := fs.String("rank-runtime", "", "rank execution runtime: continuation (default) or goroutine; the schedule is byte-identical for both")
 	faultPlanStr := fs.String("fault-plan", "", "inject an explicit fault schedule into every run: comma-separated kind:trunk@offset[:factor] events (e.g. down:leaf0.up0@2ms,up:leaf0.up0@7ms)")
 	mtbf := fs.Duration("mtbf", 0, "mean virtual time between generated trunk failures (set together with -mttr)")
 	mttr := fs.Duration("mttr", 0, "mean virtual trunk repair time (set together with -mtbf)")
@@ -78,10 +75,6 @@ func run(args []string) error {
 		return err
 	}
 	faultPlan = cliflags.WithGenerated(faultPlan, *mtbf, *mttr)
-	runtimeMode, err := mpisim.ParseRankRuntime(*rankRuntime)
-	if err != nil {
-		return err
-	}
 
 	cfg, err := experiments.NewConfig(experiments.Preset(*preset), *seed)
 	if err != nil {
@@ -89,7 +82,6 @@ func run(args []string) error {
 	}
 	cfg.Options.Machine.Net.StrictOrder = *strictOrder
 	cfg.Options.Machine.Net.Workers = *workers
-	cfg.Options.MPI.Runtime = runtimeMode
 	topo, err := netsim.ParseTopology(*topology, *leaves, *uplinks)
 	if err != nil {
 		return err
@@ -103,6 +95,10 @@ func run(args []string) error {
 			return err
 		}
 		cfg.Options.Machine.Net.Faults = faultPlan
+		// Bound degrade factors by the configured link's MTU serialization.
+		if err := cfg.Options.Machine.Net.Validate(); err != nil {
+			return err
+		}
 	}
 	policy, err := cluster.ParsePlacement(*placement)
 	if err != nil {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-nosuchflag"}); err == nil {
@@ -51,5 +54,14 @@ func TestRunValidatesFaultFlags(t *testing.T) {
 	if err := run([]string{"-preset", "ci", "-topology", "fattree", "-leaves", "2",
 		"-fault-plan", "down:leaf9.up9@1ms"}); err == nil {
 		t.Fatal("expected error for an unknown trunk label")
+	}
+	// Non-finite degrade factors, and one whose degraded MTU serialization
+	// overflows the virtual clock, are rejected upfront naming the event.
+	for _, factor := range []string{"Inf", "NaN", "1e300"} {
+		err := run([]string{"-preset", "ci", "-topology", "fattree", "-leaves", "2",
+			"-fault-plan", "degrade:leaf0.up0@1ms:" + factor})
+		if err == nil || !strings.Contains(err.Error(), "degrade:leaf0.up0@1ms:") {
+			t.Fatalf("degrade factor %s: want an error naming the event, got %v", factor, err)
+		}
 	}
 }

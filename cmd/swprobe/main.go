@@ -7,7 +7,6 @@
 //	swprobe -exp fig3|fig6|fig7|table1|fig8|fig9|all|xswitch|sched|faults [-preset paper|default|ci]
 //	        [-seed N] [-parallel N] [-csv DIR]
 //	        [-workers N] [-strict-order]
-//	        [-rank-runtime continuation|goroutine]
 //	        [-cache-dir DIR] [-no-cache]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	        [-blockprofile FILE] [-mutexprofile FILE]
@@ -31,15 +30,7 @@
 // -cpuprofile/-memprofile write pprof profiles of the whole campaign, so a
 // hot-path regression can be diagnosed on any experiment without editing
 // code (go tool pprof <file>).  -blockprofile/-mutexprofile additionally
-// capture blocking and mutex-contention profiles, which is how goroutine
-// handoff and lock costs inside the simulator were measured.
-//
-// -rank-runtime selects how simulated MPI ranks execute: "continuation" (the
-// default) runs rank programs inline on the kernel goroutine with zero
-// goroutine switches, "goroutine" runs each rank on its own parked
-// goroutine.  Both produce byte-identical schedules, so the flag is pure
-// wall-clock (like -workers) and does not change run fingerprints or cache
-// keys.
+// capture blocking and mutex-contention profiles.
 //
 // The topology flags select the simulated fabric for every experiment; the
 // xswitch campaign additionally sweeps the fat-tree's oversubscription and
@@ -93,7 +84,6 @@ import (
 	"github.com/hpcperf/switchprobe/internal/cluster"
 	"github.com/hpcperf/switchprobe/internal/engine"
 	"github.com/hpcperf/switchprobe/internal/experiments"
-	"github.com/hpcperf/switchprobe/internal/mpisim"
 	"github.com/hpcperf/switchprobe/internal/netsim"
 	"github.com/hpcperf/switchprobe/internal/report"
 	"github.com/hpcperf/switchprobe/internal/sched"
@@ -133,7 +123,6 @@ func run(args []string, out *os.File) error {
 	arrivals := fs.Float64("arrivals", 0, "sched: mean job inter-arrival gap in virtual ms (0 = derive from load)")
 	workers := fs.Int("workers", 0, "relaxed mode: worker goroutines for leaf-parallel advance windows (0/1 = sequential; the schedule is identical for every value)")
 	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (changes run fingerprints and cache keys)")
-	rankRuntime := fs.String("rank-runtime", "", "rank execution runtime: continuation (default) or goroutine; the schedule is byte-identical for both")
 	faultPlanStr := fs.String("fault-plan", "", "faults: explicit fault schedule, comma-separated kind:trunk@offset[:factor] events (e.g. down:leaf0.up0@2ms,up:leaf0.up0@7ms,degrade:leaf1.up0@1ms:2)")
 	mtbf := fs.Duration("mtbf", 0, "faults: mean virtual time between generated trunk failures (set together with -mttr)")
 	mttr := fs.Duration("mttr", 0, "faults: mean virtual trunk repair time (set together with -mtbf)")
@@ -162,10 +151,6 @@ func run(args []string, out *os.File) error {
 	if *traceSample < 1 {
 		return fmt.Errorf("-trace-sample must be >= 1, got %d", *traceSample)
 	}
-	runtimeMode, err := mpisim.ParseRankRuntime(*rankRuntime)
-	if err != nil {
-		return err
-	}
 
 	cfg, err := experiments.NewConfig(experiments.Preset(*preset), *seed)
 	if err != nil {
@@ -174,7 +159,6 @@ func run(args []string, out *os.File) error {
 	cfg.Parallelism = *parallel
 	cfg.Options.Machine.Net.StrictOrder = *strictOrder
 	cfg.Options.Machine.Net.Workers = *workers
-	cfg.Options.MPI.Runtime = runtimeMode
 	topo, err := netsim.ParseTopology(*topology, *leaves, *uplinks)
 	if err != nil {
 		return err

@@ -401,6 +401,22 @@ func TestRunValidatesFaultFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadDegradeFactors: a non-finite degrade factor, or one whose
+// degraded MTU serialization overflows the virtual clock, fails upfront with
+// an error naming the event (such plans used to run and report a degraded
+// trunk as faster, or as not degraded at all).
+func TestRunRejectsBadDegradeFactors(t *testing.T) {
+	for _, factor := range []string{"Inf", "NaN", "1e300"} {
+		t.Run(factor, func(t *testing.T) {
+			err := run([]string{"-preset", "ci", "-exp", "faults", "-policy", "pack",
+				"-fault-plan", "degrade:leaf0.up0@1ms:" + factor}, os.Stdout)
+			if err == nil || !strings.Contains(err.Error(), "degrade:leaf0.up0@1ms:") {
+				t.Fatalf("degrade factor %s: want an error naming the event, got %v", factor, err)
+			}
+		})
+	}
+}
+
 // TestRunFaultsEndToEnd runs the resilience campaign through the CLI twice
 // and requires nonzero fault telemetry plus byte-identical CSV output: the
 // whole campaign, faults included, is a pure function of the seed.

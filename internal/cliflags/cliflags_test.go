@@ -119,8 +119,42 @@ func TestValidatePlanAgainst(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "leafL.upU") {
 		t.Fatalf("unknown trunk should fail with flag guidance: %v", err)
 	}
+	// Non-finite degrade factors are malformed plans on any fabric.
+	for _, factor := range []string{"NaN", "Inf"} {
+		nonFinite, _, err := ParseFaultFlags("degrade:leaf0.up0@1ms:"+factor, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidatePlanAgainst(nonFinite, fattree, 8); err == nil || !strings.Contains(err.Error(), "degrade:leaf0.up0@1ms:") {
+			t.Fatalf("degrade factor %s: want an error naming the event, got %v", factor, err)
+		}
+	}
 	var nilPlan *netsim.FaultPlan
 	if err := ValidatePlanAgainst(nilPlan, star, 8); err != nil {
 		t.Fatalf("inactive plan must pass on any topology: %v", err)
 	}
+}
+
+// FuzzParseFaultFlags checks the fault-flag cross-validation contract for
+// any -fault-plan text and -mtbf/-mttr pair: an error returns no plan and
+// reports no fault flags; success means the generator pair is both set or
+// both unset and non-negative, and active is true exactly when the generator
+// is on or the parsed plan has events.
+func FuzzParseFaultFlags(f *testing.F) {
+	f.Fuzz(func(t *testing.T, planStr string, mtbfNS, mttrNS int64) {
+		mtbf, mttr := time.Duration(mtbfNS), time.Duration(mttrNS)
+		plan, active, err := ParseFaultFlags(planStr, mtbf, mttr)
+		if err != nil {
+			if plan != nil || active {
+				t.Fatalf("error %v returned plan %v and active=%v", err, plan, active)
+			}
+			return
+		}
+		if (mtbf > 0) != (mttr > 0) || mtbf < 0 || mttr < 0 {
+			t.Fatalf("accepted -mtbf %v -mttr %v", mtbf, mttr)
+		}
+		if want := mtbf > 0 || plan.Active(); active != want {
+			t.Fatalf("active = %v for plan %q, -mtbf %v; want %v", active, planStr, mtbf, want)
+		}
+	})
 }

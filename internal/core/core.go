@@ -523,9 +523,8 @@ func launchAppLoop(m *cluster.Machine, o Options, app workload.App, class string
 	}
 	ar := &appRun{app: app, class: class, job: job, world: world}
 	world.LaunchProgram(func(r *mpisim.Rank, _ mpisim.Cont) {
-		// An endless iteration loop in continuation-passing style: it runs on
-		// either rank runtime and never invokes the done continuation (the
-		// measurement window ends it via Kernel.Shutdown).
+		// An endless iteration loop: it never invokes the done continuation
+		// (the measurement window ends it via Kernel.Shutdown).
 		iter := 0
 		var loop, after mpisim.Cont
 		loop = func() { app.IterateThen(r, iter, after) }

@@ -23,7 +23,6 @@ type SimUsage struct {
 	PoolReuses      int64
 	FastPathEvents  int64
 	EventsElided    int64
-	ProcSwitches    int64
 	ProcFastResumes int64
 	// TrainsWalked and TrainPackets always read zero: the relaxed engine
 	// walks every packet individually.  They stay for readers that still
@@ -84,9 +83,9 @@ func (u SimUsage) String() string {
 			u.TrunksFailed, u.PacketsRetransmitted, float64(u.RetryBackoffNs)/1e6, u.RoutesRecomputed)
 	}
 	return fmt.Sprintf(
-		"%d runs, %.2fM events fired + %.2fM cut-through (%.1f%% saved, %.1f%% pooled, %.1f%% fast-path), %.2fM proc switches, %.2fM fast resumes, %d clamps%s, %.2fM events/s/run, %.1fx real time",
+		"%d runs, %.2fM events fired + %.2fM cut-through (%.1f%% saved, %.1f%% pooled, %.1f%% fast-path), %.2fM fast resumes, %d clamps%s, %.2fM events/s/run, %.1fx real time",
 		u.Runs, float64(u.EventsFired)/1e6, float64(u.EventsElided)/1e6, elidedPct, pooledPct, fastPct,
-		float64(u.ProcSwitches)/1e6, float64(u.ProcFastResumes)/1e6,
+		float64(u.ProcFastResumes)/1e6,
 		u.LedgerClamps, faults,
 		u.EventsPerSecond()/1e6, u.RealTimeFactor())
 }
@@ -105,7 +104,6 @@ var simUsage = struct {
 	poolReuses      *telemetry.Counter
 	fastPathEvents  *telemetry.Counter
 	eventsElided    *telemetry.Counter
-	procSwitches    *telemetry.Counter
 	procFastResumes *telemetry.Counter
 	ledgerClamps    *telemetry.Counter
 	trunksFailed    *telemetry.Counter
@@ -122,8 +120,7 @@ var simUsage = struct {
 	poolReuses:      telemetry.Default().Counter("swprobe_kernel_pool_reuses_total", "Kernel event allocations served from the pool"),
 	fastPathEvents:  telemetry.Default().Counter("swprobe_kernel_fastpath_events_total", "Kernel events scheduled on the same-instant fast path"),
 	eventsElided:    telemetry.Default().Counter("swprobe_kernel_events_elided_total", "Heap events elided by the cut-through deferred lane"),
-	procSwitches:    telemetry.Default().Counter("swprobe_kernel_proc_switches_total", "Process context switches in the rank runtime"),
-	procFastResumes: telemetry.Default().Counter("swprobe_kernel_proc_fast_resumes_total", "Process resumes served without a context switch"),
+	procFastResumes: telemetry.Default().Counter("swprobe_kernel_proc_fast_resumes_total", "Rank waits resolved without posting a resume event"),
 	ledgerClamps:    telemetry.Default().Counter("swprobe_net_ledger_clamps_total", "Credit releases clamped to keep port ledgers sorted"),
 	trunksFailed:    telemetry.Default().Counter("swprobe_fault_trunks_failed_total", "Trunk failures applied by fault plans"),
 	retransmits:     telemetry.Default().Counter("swprobe_fault_retransmits_total", "Packets lost to down trunks and re-injected"),
@@ -144,7 +141,6 @@ func recordRun(k *sim.Kernel, net *netsim.Network, wall time.Duration) {
 	simUsage.eventsCancelled.Add(int64(st.EventsCancelled))
 	simUsage.poolReuses.Add(int64(st.PoolReuses))
 	simUsage.fastPathEvents.Add(int64(st.FastPathEvents))
-	simUsage.procSwitches.Add(int64(st.ProcSwitches))
 	simUsage.procFastResumes.Add(int64(st.ProcFastResumes))
 	if net != nil {
 		ns := net.Stats()
@@ -180,7 +176,6 @@ func SimUsageSnapshot() SimUsage {
 		PoolReuses:      simUsage.poolReuses.Value(),
 		FastPathEvents:  simUsage.fastPathEvents.Value(),
 		EventsElided:    simUsage.eventsElided.Value(),
-		ProcSwitches:    simUsage.procSwitches.Value(),
 		ProcFastResumes: simUsage.procFastResumes.Value(),
 		LedgerClamps:    simUsage.ledgerClamps.Value(),
 
@@ -202,7 +197,7 @@ func ResetSimUsage() {
 	for _, c := range []*telemetry.Counter{
 		simUsage.runs, simUsage.eventsScheduled, simUsage.eventsFired,
 		simUsage.eventsCancelled, simUsage.poolReuses, simUsage.fastPathEvents,
-		simUsage.eventsElided, simUsage.procSwitches, simUsage.procFastResumes,
+		simUsage.eventsElided, simUsage.procFastResumes,
 		simUsage.ledgerClamps, simUsage.trunksFailed, simUsage.retransmits,
 		simUsage.reroutes, simUsage.retryBackoffNS, simUsage.virtualNS,
 		simUsage.wallNS,

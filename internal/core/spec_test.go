@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -260,4 +261,65 @@ func TestExecuteSpecResolvesAppsByName(t *testing.T) {
 	if _, err := ExecuteSpec(RunSpec{Kind: RunBaseline, Options: o, App: "NoSuchApp"}, nil); err == nil {
 		t.Fatal("unknown app name should fail")
 	}
+}
+
+// FuzzRunSpecCanonical checks that a spec's canonical encoding and hash are a
+// stable function of the run's inputs: repeated calls agree, the hash is
+// SHA-256 over SpecVersion and the encoding, one field sits on each line in
+// a fixed key order, the execution-only Workers knob and the default
+// placement spelling never fork the hash, and changing the seed, window,
+// volume scale or application name always does.
+func FuzzRunSpecCanonical(f *testing.F) {
+	keys := []string{"kind", "seed", "machine", "mpi", "probe", "placement", "scale", "window",
+		"iters", "probes", "hist", "phases", "slot", "app", "coapp", "injector", "placed"}
+	f.Fuzz(func(t *testing.T, seed, window int64, volume float64, app, placement string, workers int) {
+		build := func(seed, window int64, volume float64, app, placement string, workers int) RunSpec {
+			o := sampleOptions()
+			o.Seed = seed
+			o.Window = sim.Duration(window)
+			o.Scale.Volume = volume
+			o.Placement = cluster.PlacementPolicy(placement)
+			o.Machine.Net.Workers = workers
+			return RunSpec{Kind: RunBaseline, Options: o, App: app}
+		}
+		spec := build(seed, window, volume, app, placement, workers)
+		canon, hash := spec.Canonical(), spec.Hash()
+		if spec.Canonical() != canon || spec.Hash() != hash {
+			t.Fatal("Canonical or Hash changed between calls")
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%s\n%s", SpecVersion(), canon)
+		if hex.EncodeToString(h.Sum(nil)) != hash {
+			t.Fatal("hash is not SHA-256 over SpecVersion and the canonical encoding")
+		}
+		if !strings.ContainsAny(app+placement, "\n") {
+			lines := strings.Split(strings.TrimSuffix(canon, "\n"), "\n")
+			if len(lines) != len(keys) {
+				t.Fatalf("%d canonical lines, want %d:\n%s", len(lines), len(keys), canon)
+			}
+			for i, k := range keys {
+				if !strings.HasPrefix(lines[i], k+"=") {
+					t.Fatalf("line %d is %q, want key %q", i, lines[i], k)
+				}
+			}
+		}
+		for _, w := range []int{0, workers + 1} {
+			if build(seed, window, volume, app, placement, w).Hash() != hash {
+				t.Fatalf("Workers %d changed the hash of a Workers %d spec", w, workers)
+			}
+		}
+		if placement == "" && build(seed, window, volume, app, "pack", workers).Hash() != hash {
+			t.Fatal(`placement "" and "pack" hash differently`)
+		}
+		for name, other := range map[string]RunSpec{
+			"seed":   build(seed+1, window, volume, app, placement, workers),
+			"window": build(seed, window+1, volume, app, placement, workers),
+			"app":    build(seed, window, volume, app+"x", placement, workers),
+			"volume": build(seed, window, math.Nextafter(volume, math.Inf(1)), app, placement, workers),
+		} {
+			if other.Hash() == hash && !(name == "volume" && (math.IsNaN(volume) || math.IsInf(volume, 1))) {
+				t.Fatalf("changing the %s left the hash unchanged", name)
+			}
+		}
+	})
 }

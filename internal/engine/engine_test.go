@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -359,4 +360,51 @@ func TestUnwritableStoreFallsBackToLiveResults(t *testing.T) {
 	if st := e.Stats(); st.MemoryHits != 1 || st.StoreErrors != 1 {
 		t.Fatalf("post-fallback memoization stats = %+v", st)
 	}
+}
+
+// FuzzStoreLoad writes arbitrary bytes as the stored blob of one hash and
+// loads it under an arbitrary kind.  Load must never panic; it serves the
+// blob only when it decodes to a complete artifact of the store's schema and
+// the requested kind, and otherwise returns (zero, false, err) so the engine
+// counts the corruption and re-simulates.  The checked-in corpus holds
+// corrupt, truncated, wrong-kind, wrong-schema and incomplete blobs; the
+// seeds added here track the current schema.
+func FuzzStoreLoad(f *testing.F) {
+	valid, err := json.Marshal(envelope{
+		Schema:   core.SpecVersion(),
+		Kind:     string(core.RunBaseline),
+		Spec:     "kind=baseline\n",
+		Artifact: core.Artifact{Runtime: &core.Runtime{App: "FFTW", Iterations: 3, TimePerIteration: 1500}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, string(core.RunBaseline))
+	f.Add(valid[:len(valid)-2], string(core.RunBaseline))
+	const hash = "00abababababababababababababababababababababababababababababababab"
+	f.Fuzz(func(t *testing.T, blob []byte, kind string) {
+		s, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.path(hash)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		art, ok, err := s.Load(hash, core.RunKind(kind))
+		var env envelope
+		servable := json.Unmarshal(blob, &env) == nil && env.Schema == core.SpecVersion() &&
+			env.Kind == kind && env.Artifact.Complete(core.RunKind(kind))
+		switch {
+		case ok != servable:
+			t.Fatalf("Load(kind %q) ok = %v, want %v (err %v) for blob %q", kind, ok, servable, err, blob)
+		case ok && (err != nil || !reflect.DeepEqual(art, env.Artifact)):
+			t.Fatalf("served blob %q as %+v, err %v; want %+v", blob, art, err, env.Artifact)
+		case !ok && (err == nil || !reflect.DeepEqual(art, core.Artifact{})):
+			t.Fatalf("rejected blob %q returned (%+v, false, %v), want (zero, false, err)", blob, art, err)
+		}
+	})
 }

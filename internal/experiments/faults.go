@@ -146,6 +146,17 @@ func (spec FaultsSpec) withDefaults(cfg Config) (FaultsSpec, error) {
 		if len(lay.Trunks) == 0 {
 			continue // a star has nothing to fail
 		}
+		if spec.Plan.Active() {
+			// Reject a bad explicit plan before any case runs, with the
+			// network the custom case will build (degrade factors are
+			// bounded by its MTU serialization).
+			ncfg := cfg.Options.Machine.Net
+			ncfg.Topology = topo
+			ncfg.Faults = spec.Plan
+			if err := ncfg.Validate(); err != nil {
+				return spec, fmt.Errorf("faults %s: %w", scen.Label, err)
+			}
+		}
 		trunked = append(trunked, scen)
 	}
 	if len(trunked) == 0 {

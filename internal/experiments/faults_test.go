@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	. "github.com/hpcperf/switchprobe/internal/experiments"
@@ -51,6 +52,19 @@ func TestFaultsSpecValidation(t *testing.T) {
 	}
 	if _, err := s.Faults(FaultsSpec{Cases: []string{FaultCaseCustom}}); err == nil {
 		t.Fatal("expected error for the custom case without a plan")
+	}
+	// A degrade factor whose MTU serialization overflows the virtual clock
+	// is rejected before any case simulates.
+	ResetSimUsage()
+	overflow := &netsim.FaultPlan{Events: []netsim.FaultEvent{
+		{At: sim.Millisecond, Trunk: "leaf0.up0", Kind: netsim.FaultDegrade, Factor: 1e300},
+	}}
+	_, err := s.Faults(FaultsSpec{Plan: overflow})
+	if err == nil || !strings.Contains(err.Error(), "degrade:leaf0.up0@1ms:1e+300") {
+		t.Fatalf("expected an upfront error naming the overflowing degrade event, got %v", err)
+	}
+	if runs := SimUsage().Runs; runs != 0 {
+		t.Fatalf("%d simulation runs executed before the bad plan was rejected", runs)
 	}
 }
 

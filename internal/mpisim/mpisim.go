@@ -4,18 +4,13 @@
 // receives with eager and rendezvous protocols, waits, and the common
 // collectives (barrier, broadcast, reduce, allreduce, allgather, alltoall).
 //
-// Each rank executes either as a cooperative simulation process (a goroutine
-// parked and resumed through the kernel, the legacy runtime behind
-// World.Launch) or — for bodies written as continuation-passing Programs
-// (World.LaunchProgram) — inline on the kernel goroutine as ordinary kernel
-// events, with zero goroutines and zero channel handoffs.  The two runtimes
-// schedule a kernel event at exactly the same code points, so they produce
-// byte-identical simulation schedules; the continuation runtime is the
-// default because it removes the two-channel park/resume handshake that
-// otherwise dominates campaign wall-clock.  Inter-node messages travel
-// through the netsim switch (and therefore contend with every other job on
-// the machine), while intra-node messages use a shared-memory path that
-// bypasses the switch.
+// Rank bodies are continuation-passing Programs (World.LaunchProgram) that
+// run inline on the kernel goroutine as ordinary kernel events: an operation
+// that must wait stores the rest of the program and a pooled kernel event
+// resumes it, so ranks cost no goroutines and no channel handoffs.
+// Inter-node messages travel through the netsim switch (and therefore contend
+// with every other job on the machine), while intra-node messages use a
+// shared-memory path that bypasses the switch.
 package mpisim
 
 import (
@@ -32,34 +27,6 @@ const AnySource = -1
 // AnyTag matches a receive against any message tag.
 const AnyTag = -2
 
-// RankRuntime selects how rank bodies launched as Programs execute.  Both
-// runtimes produce byte-identical simulation schedules (they post the same
-// kernel events at the same code points), so the knob is pure wall-clock and
-// — like netsim's Workers — deliberately excluded from run fingerprints.
-type RankRuntime string
-
-const (
-	// RuntimeContinuation (the default) runs Program ranks inline on the
-	// kernel goroutine as ordinary kernel events: zero goroutines, zero
-	// channel handoffs.
-	RuntimeContinuation RankRuntime = "continuation"
-	// RuntimeGoroutine runs Program ranks as cooperative simulation
-	// processes, the legacy World.Launch execution model.
-	RuntimeGoroutine RankRuntime = "goroutine"
-)
-
-// ParseRankRuntime parses a -rank-runtime CLI value.  The empty string means
-// the default (continuation).
-func ParseRankRuntime(s string) (RankRuntime, error) {
-	switch RankRuntime(s) {
-	case "", RuntimeContinuation:
-		return RuntimeContinuation, nil
-	case RuntimeGoroutine:
-		return RuntimeGoroutine, nil
-	}
-	return "", fmt.Errorf("mpisim: unknown rank runtime %q (valid: %q, %q)", s, RuntimeContinuation, RuntimeGoroutine)
-}
-
 // Config tunes the runtime's transfer protocols.
 type Config struct {
 	// EagerThreshold is the largest message size (bytes) sent eagerly;
@@ -67,10 +34,6 @@ type Config struct {
 	EagerThreshold int
 	// ControlBytes is the wire size of RTS/CTS control messages.
 	ControlBytes int
-	// Runtime selects the execution model for ranks launched with
-	// LaunchProgram ("" means RuntimeContinuation).  Byte-identical output
-	// either way; excluded from run fingerprints.
-	Runtime RankRuntime
 }
 
 // DefaultConfig returns the production defaults (16 KiB eager threshold,
@@ -87,9 +50,6 @@ func (c Config) Validate() error {
 	if c.ControlBytes <= 0 {
 		return fmt.Errorf("mpisim: non-positive control message size %d", c.ControlBytes)
 	}
-	if _, err := ParseRankRuntime(string(c.Runtime)); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -101,10 +61,10 @@ type Status struct {
 }
 
 // Request is the handle of a non-blocking operation.  Requests are pooled
-// per rank: Wait and WaitAll recycle every request passed to them when they
-// return, so a request must not be touched after it has been waited on (read
-// the Status that Wait returns instead), and the same request must not be
-// passed to a wait twice.
+// per rank: WaitThen and WaitAllThen recycle every request passed to them
+// before their continuation runs, so a request must not be touched after it
+// has been waited on (read Status once Done reports true, before the wait),
+// and the same request must not be passed to a wait twice.
 type Request struct {
 	done    bool
 	status  Status
@@ -116,12 +76,11 @@ type Request struct {
 }
 
 // waitCounter batches the completions of a whole set of requests into a
-// single wake: Wait and WaitAll charge every still-pending request to the
-// rank's counter, and only the completion that drops it to zero wakes the
-// rank.  A collective step waiting on 2·window exchanges therefore wakes
-// the kernel once, not once per request.  Each rank owns one reusable
-// counter (a rank can only wait on one batch at a time), so waiting
-// allocates nothing.
+// single wake: WaitAllThen charges every still-pending request to the rank's
+// counter, and only the completion that drops it to zero wakes the rank.
+// A collective step waiting on 2·window exchanges therefore wakes the kernel
+// once, not once per request.  Each rank owns one reusable counter (a rank
+// can only wait on one batch at a time), so waiting allocates nothing.
 type waitCounter struct {
 	remaining int
 	rank      *Rank
@@ -291,26 +250,6 @@ func (w *World) Name() string { return w.name }
 // Job returns the placement the world was built from.
 func (w *World) Job() *cluster.Job { return w.job }
 
-// Launch spawns one simulation process per rank, each executing body.  It may
-// be called only once.
-func (w *World) Launch(body func(r *Rank)) {
-	if w.launched {
-		panic("mpisim: World.Launch called twice")
-	}
-	w.launched = true
-	for _, r := range w.ranks {
-		r := r
-		w.m.Kernel().Spawn(fmt.Sprintf("%s/rank%d", w.name, r.rank), func(p *sim.Proc) {
-			r.proc = p
-			body(r)
-			w.finished++
-			if w.finished == len(w.ranks) {
-				w.completedAt = p.Now()
-			}
-		})
-	}
-}
-
 // Cont is a continuation: the rest of a rank program.
 type Cont func()
 
@@ -318,98 +257,35 @@ type Cont func()
 // simulated-time operations through the *Then primitives (ComputeThen,
 // WaitThen, WaitAllThen, the *Then collectives, …), passing each the
 // continuation to run once the operation completes, and invoke done when the
-// rank is finished.  A Program written this way runs unchanged on either
-// rank runtime: on the continuation runtime the primitives suspend the
-// program by parking its continuation, on the goroutine runtime they execute
-// their blocking counterparts and feed the continuation through the same
-// trampoline.  A Program may keep per-rank state in closure variables; it
-// must not call the blocking primitives (Compute, Wait, the plain
-// collectives) directly, as those require a simulation process.
+// rank is finished.  A primitive that must wait suspends the program by
+// storing its continuation; a pooled kernel event resumes it.  A Program may
+// keep per-rank state in closure variables.
 type Program func(r *Rank, done Cont)
 
-// LaunchProgram launches one copy of the program per rank, on the runtime
-// selected by Config.Runtime.  Like Launch it may be called only once.
-//
-// Both runtimes post exactly one pooled kernel event per rank at the current
-// instant to start the bodies, and thereafter schedule events at exactly the
-// same code points, so the simulated schedule — every timestamp, sequence
-// number and RNG draw — is byte-identical across runtimes.
+// LaunchProgram launches one copy of the program per rank.  It may be called
+// only once.  Each rank starts from one pooled kernel event posted at the
+// current instant.
 func (w *World) LaunchProgram(p Program) {
-	if w.runtime() == RuntimeGoroutine {
-		w.Launch(func(r *Rank) { r.runProgram(p) })
-		return
-	}
 	if w.launched {
-		panic("mpisim: World.Launch called twice")
+		panic("mpisim: World.LaunchProgram called twice")
 	}
 	w.launched = true
 	k := w.m.Kernel()
 	for _, r := range w.ranks {
 		r := r
-		r.cps = true
 		r.stepFn = r.step
 		r.resumeK = func() { p(r, r.finish) }
-		// One start event per rank, the exact analogue of Spawn's initial
-		// dispatch event on the goroutine runtime.
 		k.PostAt(k.Now(), r.stepFn)
 	}
 }
 
-// runtime resolves the world's configured rank runtime.
-func (w *World) runtime() RankRuntime {
-	if w.cfg.Runtime == RuntimeGoroutine {
-		return RuntimeGoroutine
-	}
-	return RuntimeContinuation
-}
-
-// runProgram drives a Program to completion on a goroutine-backed rank.
-// Every primitive executes its blocking form and parks its continuation in
-// r.next; this trampoline then runs it, so the program observes the exact
-// semantics of a legacy Launch body while keeping the stack flat even for
-// unbounded chains of fast-path resumes.
-func (r *Rank) runProgram(p Program) {
-	finished := false
-	p(r, func() { finished = true })
-	for !finished {
-		k := r.next
-		if k == nil {
-			panic("mpisim: rank program stalled without a pending continuation")
-		}
-		r.next = nil
-		k()
-	}
-}
-
-// RunInline drives a continuation-passing body to completion on a
-// goroutine-backed rank and blocks until it invokes done.  It lets blocking
-// entry points (workload Iterate methods) delegate to their *Then
-// implementations without duplicating the logic.
-func (r *Rank) RunInline(body func(done Cont)) {
-	if r.cps {
-		panic("mpisim: RunInline requires a goroutine-backed rank")
-	}
-	finished := false
-	body(func() { finished = true })
-	for !finished {
-		k := r.next
-		if k == nil {
-			panic("mpisim: continuation chain stalled without a pending continuation")
-		}
-		r.next = nil
-		k()
-	}
-}
-
-// step resumes a suspended continuation rank.  It runs as a pooled kernel
-// event at exactly the positions the goroutine runtime would dispatch the
-// rank's process: the launch event, the expiry of a ComputeThen timer, or
-// the completion wake posted by wakeWait.
+// step resumes a suspended rank.  It runs as a pooled kernel event: the
+// launch event, the expiry of a ComputeThen timer, or the completion wake
+// posted by wakeWait.
 func (r *Rank) step() {
 	k := r.resumeK
 	r.resumeK = nil
-	// Recycle the requests of the wait we were suspended on — the same point
-	// in rank order at which the blocking Wait/WaitAll recycle theirs.
+	// Recycle the requests of the wait the rank was suspended on.
 	if len(r.waitReqs) > 0 {
 		for i, req := range r.waitReqs {
 			r.recycleRequest(req)
@@ -430,24 +306,16 @@ func (r *Rank) run(k Cont) {
 	}
 }
 
-// wakeWait resumes the rank after a wait completed.  Goroutine ranks wake
-// their process (which posts one kernel event if it is parked); continuation
-// ranks post their step event directly.  Either way exactly one pooled
-// kernel event is posted at the current instant, keeping the two runtimes
-// event-for-event identical.  Completions only fire from kernel or lane
-// event context, while the rank is suspended, so posting unconditionally is
-// safe for a continuation rank.
+// wakeWait resumes the rank after a wait completed by posting its step event
+// at the current instant.  Completions only fire from kernel or lane event
+// context, while the rank is suspended, so posting unconditionally is safe.
 func (r *Rank) wakeWait() {
-	if r.cps {
-		k := r.w.m.Kernel()
-		k.PostAt(k.Now(), r.stepFn)
-		return
-	}
-	r.proc.Wake()
+	k := r.w.m.Kernel()
+	k.PostAt(k.Now(), r.stepFn)
 }
 
-// finish is the done continuation of a continuation-runtime Program: the
-// counterpart of the completion bookkeeping in Launch's body wrapper.
+// finish is the done continuation of every rank's Program: the last rank to
+// finish stamps the world's completion time.
 func (r *Rank) finish() {
 	w := r.w
 	w.finished++
@@ -483,7 +351,6 @@ func (w *World) Stats() Stats {
 type Rank struct {
 	w    *World
 	rank int
-	proc *sim.Proc
 
 	unexpected []envelope
 	// posted holds receives posted before their message arrived.  The
@@ -493,20 +360,18 @@ type Rank struct {
 
 	// wc is the rank's reusable completion-batch counter (see waitCounter).
 	wc waitCounter
-	// reqFree is the rank's request free list; Wait/WaitAll feed it.
+	// reqFree is the rank's request free list; the waits feed it.
 	reqFree []*Request
 
 	collSeq int64
 
-	// Continuation-runtime state (see LaunchProgram).  cps marks a rank with
-	// no simulation process: its body runs inline on the kernel goroutine,
-	// suspended by storing the rest of the program in resumeK and resumed by
-	// a pooled kernel event running stepFn.  next is the trampoline slot: a
-	// primitive that completes without suspending parks its continuation here
-	// and the driver loop (run / runProgram) invokes it with a flat stack.
-	// waitReqs holds the requests of the wait the rank is suspended on, so
-	// step can recycle them exactly where the blocking runtime would.
-	cps      bool
+	// Program state (see LaunchProgram).  The body runs inline on the kernel
+	// goroutine, suspended by storing the rest of the program in resumeK and
+	// resumed by a pooled kernel event running stepFn.  next is the
+	// trampoline slot: a primitive that completes without suspending parks
+	// its continuation here and run invokes it with a flat stack.  waitReqs
+	// holds the requests of the wait the rank is suspended on, so step can
+	// recycle them when it resumes.
 	stepFn   func()
 	next     Cont
 	resumeK  Cont
@@ -541,22 +406,6 @@ func (r *Rank) World() *World { return r.w }
 
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.w.m.Kernel().Now() }
-
-// Proc returns the underlying simulation process, or nil for a rank running
-// on the continuation runtime (which has no process).
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
-// Compute occupies the rank's core for d of virtual time.
-func (r *Rank) Compute(d sim.Duration) { r.proc.Sleep(d) }
-
-// ComputeCycles occupies the rank's core for the given number of CPU cycles.
-func (r *Rank) ComputeCycles(cycles float64) {
-	r.proc.Sleep(r.w.m.CyclesToDuration(cycles))
-}
-
-// Sleep idles the rank for d of virtual time (identical to Compute in the
-// model; the distinct name mirrors usleep calls in the paper's benchmarks).
-func (r *Rank) Sleep(d sim.Duration) { r.proc.Sleep(d) }
 
 // checkRank validates a peer rank index.
 func (r *Rank) checkRank(peer int) {
@@ -729,226 +578,4 @@ func (w *World) rendezvousDone(st *rendezvousState) {
 func (w *World) intraNodeDelay(size int) sim.Duration {
 	cfg := w.m.Config()
 	return cfg.IntraNodeLatency + sim.Duration(float64(size)/cfg.IntraNodeBandwidth*float64(sim.Second))
-}
-
-// Wait blocks until the request completes and returns its status.  The
-// request is recycled and must not be used afterwards.  A wait on an
-// already-complete request never parks (counted in
-// sim.Stats.ProcFastResumes).
-func (r *Rank) Wait(req *Request) Status {
-	if !req.done {
-		req.waiter = r
-		for !req.done {
-			r.proc.Block()
-		}
-		req.waiter = nil
-	} else {
-		r.w.m.Kernel().NoteFastResume()
-	}
-	st := req.status
-	r.recycleRequest(req)
-	return st
-}
-
-// WaitAll blocks until every request completes, waking the process exactly
-// once when the last outstanding request finishes.  The requests are
-// recycled and must not be used afterwards.  A wait with zero pending
-// requests never parks (counted in sim.Stats.ProcFastResumes).
-func (r *Rank) WaitAll(reqs ...*Request) {
-	c := &r.wc
-	c.remaining = 0
-	c.rank = r
-	for _, req := range reqs {
-		if !req.done {
-			c.remaining++
-			req.counter = c
-		}
-	}
-	if c.remaining == 0 {
-		r.w.m.Kernel().NoteFastResume()
-	}
-	for c.remaining > 0 {
-		r.proc.Block()
-	}
-	c.rank = nil
-	for _, req := range reqs {
-		r.recycleRequest(req)
-	}
-}
-
-// Send is a blocking send (Isend + Wait).
-func (r *Rank) Send(dst, tag, size int) { r.Wait(r.Isend(dst, tag, size)) }
-
-// Recv is a blocking receive (Irecv + Wait).
-func (r *Rank) Recv(src, tag int) Status { return r.Wait(r.Irecv(src, tag)) }
-
-// SendRecv exchanges messages with two peers: it sends size bytes to dst and
-// receives from src, overlapping both transfers.
-func (r *Rank) SendRecv(dst, sendTag, size, src, recvTag int) Status {
-	sreq := r.Isend(dst, sendTag, size)
-	rreq := r.Irecv(src, recvTag)
-	st := r.Wait(rreq)
-	r.Wait(sreq)
-	return st
-}
-
-// --- Collectives -----------------------------------------------------------
-
-// Tag space reserved for collective operations; application tags should stay
-// below collTagBase.
-const (
-	collTagBase   = 1 << 24
-	collTagStride = 1 << 12
-)
-
-// collTag derives the tag for step of the current collective invocation.
-func (r *Rank) collTag(step int) int {
-	return collTagBase + int(r.collSeq)*collTagStride + step
-}
-
-// beginCollective advances the collective sequence number (identical on every
-// rank because collectives are called in the same order by all ranks).
-func (r *Rank) beginCollective() {
-	r.collSeq++
-	r.w.collectives++
-}
-
-// Barrier synchronizes all ranks using the dissemination algorithm.
-func (r *Rank) Barrier() {
-	r.beginCollective()
-	n := r.Size()
-	if n == 1 {
-		return
-	}
-	const token = 8
-	step := 0
-	for dist := 1; dist < n; dist *= 2 {
-		dst := (r.rank + dist) % n
-		src := (r.rank - dist + n) % n
-		sreq := r.Isend(dst, r.collTag(step), token)
-		rreq := r.Irecv(src, r.collTag(step))
-		r.WaitAll(sreq, rreq)
-		step++
-	}
-}
-
-// Bcast broadcasts size bytes from root to every rank along a binomial tree.
-func (r *Rank) Bcast(root, size int) {
-	r.beginCollective()
-	r.bcastNoSeq(root, size)
-}
-
-func (r *Rank) bcastNoSeq(root, size int) {
-	n := r.Size()
-	if n == 1 || size <= 0 {
-		return
-	}
-	rel := (r.rank - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % n
-			r.Recv(src, r.collTag(mask))
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			dst := (rel + mask + root) % n
-			r.Send(dst, r.collTag(mask), size)
-		}
-		mask >>= 1
-	}
-}
-
-// Reduce combines size bytes from every rank onto root along a binomial tree.
-func (r *Rank) Reduce(root, size int) {
-	r.beginCollective()
-	r.reduceNoSeq(root, size)
-}
-
-func (r *Rank) reduceNoSeq(root, size int) {
-	n := r.Size()
-	if n == 1 || size <= 0 {
-		return
-	}
-	rel := (r.rank - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask == 0 {
-			src := rel | mask
-			if src < n {
-				r.Recv((src+root)%n, r.collTag(mask))
-			}
-		} else {
-			dst := ((rel & ^mask) + root) % n
-			r.Send(dst, r.collTag(mask), size)
-			break
-		}
-		mask <<= 1
-	}
-}
-
-// Allreduce combines size bytes across all ranks and distributes the result
-// (implemented as a reduce to rank 0 followed by a broadcast).
-func (r *Rank) Allreduce(size int) {
-	r.beginCollective()
-	r.reduceNoSeq(0, size)
-	r.collSeq++
-	r.bcastNoSeq(0, size)
-}
-
-// Allgather gathers sizePerRank bytes from every rank on every rank using the
-// ring algorithm (n-1 steps).
-func (r *Rank) Allgather(sizePerRank int) {
-	r.beginCollective()
-	n := r.Size()
-	if n == 1 || sizePerRank <= 0 {
-		return
-	}
-	right := (r.rank + 1) % n
-	left := (r.rank - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		sreq := r.Isend(right, r.collTag(step), sizePerRank)
-		rreq := r.Irecv(left, r.collTag(step))
-		r.WaitAll(sreq, rreq)
-	}
-}
-
-// Alltoall exchanges sizePerRank bytes between every pair of ranks using the
-// windowed linear-shift pairwise algorithm with the default window of two
-// outstanding exchanges, the behaviour of common MPI implementations for all
-// but the shortest messages.  The limited window makes the collective
-// sensitive to switch latency, which is the behaviour the paper observes for
-// the FFT-based applications.
-func (r *Rank) Alltoall(sizePerRank int) { r.AlltoallWindowed(sizePerRank, 2) }
-
-// AlltoallWindowed is Alltoall with an explicit bound on the number of
-// outstanding pairwise exchanges: window 1 is the fully step-synchronous
-// pairwise algorithm (most latency sensitive), window n-1 posts every
-// exchange at once (purely bandwidth limited).
-func (r *Rank) AlltoallWindowed(sizePerRank, window int) {
-	r.beginCollective()
-	n := r.Size()
-	if n == 1 || sizePerRank <= 0 {
-		return
-	}
-	if window < 1 {
-		window = 1
-	}
-	var inFlight []*Request
-	for step := 1; step < n; step++ {
-		dst := (r.rank + step) % n
-		src := (r.rank - step + n) % n
-		inFlight = append(inFlight, r.Irecv(src, r.collTag(step)), r.Isend(dst, r.collTag(step), sizePerRank))
-		if len(inFlight) >= 2*window {
-			r.WaitAll(inFlight...)
-			inFlight = inFlight[:0]
-		}
-	}
-	if len(inFlight) > 0 {
-		r.WaitAll(inFlight...)
-	}
 }

@@ -27,6 +27,31 @@ func testWorld(t testing.TB, seed int64, nodes, ranksPerSocket int) (*cluster.Ma
 	return m, w
 }
 
+// recvStatusThen is RecvThen that continues with the receive's Status.  The
+// wait recycles the request just before the continuation runs, and recycling
+// only returns the struct to the rank's free list, so the continuation reads
+// the completed status before any later Irecv or Isend can reuse it.
+func recvStatusThen(r *Rank, src, tag int, k func(Status)) {
+	req := r.Irecv(src, tag)
+	r.WaitThen(req, func() { k(req.status) })
+}
+
+// repeatThen runs body n times in sequence, handing each run its index and
+// the continuation that starts the next one, then continues with k.
+func repeatThen(r *Rank, n int, body func(i int, next Cont), k Cont) {
+	i := 0
+	var loop Cont
+	loop = func() {
+		if i == n {
+			r.Continue(k)
+			return
+		}
+		i++
+		body(i-1, loop)
+	}
+	loop()
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -62,18 +87,22 @@ func TestNewWorldErrors(t *testing.T) {
 func TestPingPongInterNode(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1) // 2 nodes, 2 ranks/node = 4 ranks
 	var rtt sim.Duration
-	w.Launch(func(r *Rank) {
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		const tag = 1
 		switch r.Rank() {
 		case 0:
 			// Rank 0 is on node 0, rank 2 on node 1 (node-major placement).
 			start := r.Now()
-			r.Send(2, tag, 1024)
-			r.Recv(2, tag)
-			rtt = r.Now().Sub(start)
+			r.SendThen(2, tag, 1024, func() {
+				r.RecvThen(2, tag, func() {
+					rtt = r.Now().Sub(start)
+					done()
+				})
+			})
 		case 2:
-			r.Recv(0, tag)
-			r.Send(0, tag, 1024)
+			r.RecvThen(0, tag, func() { r.SendThen(0, tag, 1024, done) })
+		default:
+			done()
 		}
 	})
 	m.Kernel().Run()
@@ -92,19 +121,25 @@ func TestPingPongInterNode(t *testing.T) {
 
 func TestIntraNodeMessageBypassesSwitch(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 2) // ranks 0..3 on node 0
-	w.Launch(func(r *Rank) {
+	received := false
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		switch r.Rank() {
 		case 0:
-			r.Send(1, 7, 4096)
+			r.SendThen(1, 7, 4096, done)
 		case 1:
-			st := r.Recv(0, 7)
-			if st.Source != 0 || st.Tag != 7 || st.Size != 4096 {
-				t.Errorf("bad status %+v", st)
-			}
+			recvStatusThen(r, 0, 7, func(st Status) {
+				received = true
+				if st.Source != 0 || st.Tag != 7 || st.Size != 4096 {
+					t.Errorf("bad status %+v", st)
+				}
+				done()
+			})
+		default:
+			done()
 		}
 	})
 	m.Kernel().Run()
-	if !w.Done() {
+	if !w.Done() || !received {
 		t.Fatal("world did not finish")
 	}
 	if m.Network().Stats().PacketsDelivered != 0 {
@@ -116,18 +151,24 @@ func TestRendezvousLargeMessage(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
 	const size = 40 * 1024 // CompressionB's message size: above eager threshold
 	var recvAt, sendDoneAt sim.Time
-	w.Launch(func(r *Rank) {
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		switch r.Rank() {
 		case 0:
 			req := r.Isend(2, 3, size)
-			r.Wait(req)
-			sendDoneAt = r.Now()
+			r.WaitThen(req, func() {
+				sendDoneAt = r.Now()
+				done()
+			})
 		case 2:
-			st := r.Recv(0, 3)
-			recvAt = r.Now()
-			if st.Size != size {
-				t.Errorf("recv size = %d", st.Size)
-			}
+			recvStatusThen(r, 0, 3, func(st Status) {
+				recvAt = r.Now()
+				if st.Size != size {
+					t.Errorf("recv size = %d", st.Size)
+				}
+				done()
+			})
+		default:
+			done()
 		}
 	})
 	m.Kernel().Run()
@@ -150,15 +191,18 @@ func TestRendezvousLargeMessage(t *testing.T) {
 
 func TestEagerSendCompletesImmediately(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
-	w.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
+	w.LaunchProgram(func(r *Rank, done Cont) {
+		switch r.Rank() {
+		case 0:
 			req := r.Isend(2, 1, 512)
 			if !req.Done() {
 				t.Error("eager Isend should complete locally at once")
 			}
-		}
-		if r.Rank() == 2 {
-			r.Recv(0, 1)
+			r.WaitThen(req, done)
+		case 2:
+			r.RecvThen(0, 1, done)
+		default:
+			done()
 		}
 	})
 	m.Kernel().Run()
@@ -172,13 +216,22 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 	// buffered and matched later.
 	m, w := testWorld(t, 1, 2, 1)
 	var st Status
-	w.Launch(func(r *Rank) {
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		switch r.Rank() {
 		case 0:
-			r.Send(2, 9, 2048)
+			r.SendThen(2, 9, 2048, done)
 		case 2:
-			r.Compute(200 * sim.Microsecond) // ensure the message is already there
-			st = r.Recv(0, 9)
+			// Ensure the message is already there.
+			r.ComputeThen(200*sim.Microsecond, func() {
+				req := r.Irecv(0, 9)
+				if !req.Done() {
+					t.Error("receive posted after arrival should match the unexpected message at once")
+				}
+				st = req.Status()
+				r.WaitThen(req, done)
+			})
+		default:
+			done()
 		}
 	})
 	m.Kernel().Run()
@@ -193,15 +246,17 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 func TestAnySourceAndAnyTag(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
 	got := 0
-	w.Launch(func(r *Rank) {
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		switch r.Rank() {
 		case 1, 2, 3:
-			r.Send(0, 40+r.Rank(), 256)
+			r.SendThen(0, 40+r.Rank(), 256, done)
 		case 0:
-			for i := 0; i < 3; i++ {
-				st := r.Recv(AnySource, AnyTag)
-				got += st.Source
-			}
+			repeatThen(r, 3, func(_ int, next Cont) {
+				recvStatusThen(r, AnySource, AnyTag, func(st Status) {
+					got += st.Source
+					next()
+				})
+			}, done)
 		}
 	})
 	m.Kernel().Run()
@@ -216,16 +271,23 @@ func TestAnySourceAndAnyTag(t *testing.T) {
 func TestTagMatchingSelectsRightMessage(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
 	var first, second Status
-	w.Launch(func(r *Rank) {
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		switch r.Rank() {
 		case 0:
-			r.Send(2, 1, 100)
-			r.Send(2, 2, 200)
+			r.SendThen(2, 1, 100, func() { r.SendThen(2, 2, 200, done) })
 		case 2:
-			r.Compute(300 * sim.Microsecond)
-			// Receive tag 2 first even though tag 1 arrived earlier.
-			first = r.Recv(0, 2)
-			second = r.Recv(0, 1)
+			r.ComputeThen(300*sim.Microsecond, func() {
+				// Receive tag 2 first even though tag 1 arrived earlier.
+				recvStatusThen(r, 0, 2, func(st Status) {
+					first = st
+					recvStatusThen(r, 0, 1, func(st Status) {
+						second = st
+						done()
+					})
+				})
+			})
+		default:
+			done()
 		}
 	})
 	m.Kernel().Run()
@@ -237,14 +299,20 @@ func TestTagMatchingSelectsRightMessage(t *testing.T) {
 func TestSendRecvExchange(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
 	ok := 0
-	w.Launch(func(r *Rank) {
-		if r.Rank() == 0 || r.Rank() == 2 {
-			peer := 2 - r.Rank()
-			st := r.SendRecv(peer, 5, 1024, peer, 5)
+	w.LaunchProgram(func(r *Rank, done Cont) {
+		if r.Rank() != 0 && r.Rank() != 2 {
+			done()
+			return
+		}
+		peer := 2 - r.Rank()
+		// SendRecvThen's operations with the receive's status kept.
+		sreq := r.Isend(peer, 5, 1024)
+		recvStatusThen(r, peer, 5, func(st Status) {
 			if st.Size == 1024 {
 				ok++
 			}
-		}
+			r.WaitThen(sreq, done)
+		})
 	})
 	m.Kernel().Run()
 	if ok != 2 {
@@ -256,18 +324,19 @@ func TestBarrierSynchronizes(t *testing.T) {
 	m, w := testWorld(t, 2, 3, 2) // 12 ranks
 	var minAfter sim.Time = 1 << 62
 	var maxBefore sim.Time
-	w.Launch(func(r *Rank) {
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		// Stagger arrival into the barrier.
-		r.Compute(sim.Duration(r.Rank()) * 50 * sim.Microsecond)
-		before := r.Now()
-		if before > maxBefore {
-			maxBefore = before
-		}
-		r.Barrier()
-		after := r.Now()
-		if after < minAfter {
-			minAfter = after
-		}
+		r.ComputeThen(sim.Duration(r.Rank())*50*sim.Microsecond, func() {
+			if before := r.Now(); before > maxBefore {
+				maxBefore = before
+			}
+			r.BarrierThen(func() {
+				if after := r.Now(); after < minAfter {
+					minAfter = after
+				}
+				done()
+			})
+		})
 	})
 	m.Kernel().Run()
 	if !w.Done() {
@@ -282,9 +351,11 @@ func TestBcastReachesAllRanks(t *testing.T) {
 	for _, nodes := range []int{2, 3} {
 		m, w := testWorld(t, 3, nodes, 2)
 		count := 0
-		w.Launch(func(r *Rank) {
-			r.Bcast(1, 8192)
-			count++
+		w.LaunchProgram(func(r *Rank, done Cont) {
+			r.BcastThen(1, 8192, func() {
+				count++
+				done()
+			})
 		})
 		m.Kernel().Run()
 		if !w.Done() {
@@ -298,10 +369,10 @@ func TestBcastReachesAllRanks(t *testing.T) {
 
 func TestReduceAndAllreduceComplete(t *testing.T) {
 	m, w := testWorld(t, 4, 3, 2)
-	w.Launch(func(r *Rank) {
-		r.Reduce(0, 4096)
-		r.Allreduce(64)
-		r.Allreduce(1024)
+	w.LaunchProgram(func(r *Rank, done Cont) {
+		r.ReduceThen(0, 4096, func() {
+			r.AllreduceThen(64, func() { r.AllreduceThen(1024, done) })
+		})
 	})
 	m.Kernel().Run()
 	if !w.Done() {
@@ -314,9 +385,8 @@ func TestReduceAndAllreduceComplete(t *testing.T) {
 
 func TestAllgatherAndAlltoallComplete(t *testing.T) {
 	m, w := testWorld(t, 5, 3, 1) // 6 ranks
-	w.Launch(func(r *Rank) {
-		r.Allgather(2048)
-		r.Alltoall(1024)
+	w.LaunchProgram(func(r *Rank, done Cont) {
+		r.AllgatherThen(2048, func() { r.AlltoallThen(1024, done) })
 	})
 	m.Kernel().Run()
 	if !w.Done() {
@@ -335,7 +405,7 @@ func TestAlltoallWindowedVariants(t *testing.T) {
 	runWith := func(window int) result {
 		m, w := testWorld(t, 8, 3, 2) // 12 ranks over 3 nodes
 		const per = 2048
-		w.Launch(func(r *Rank) { r.AlltoallWindowed(per, window) })
+		w.LaunchProgram(func(r *Rank, done Cont) { r.AlltoallWindowedThen(per, window, done) })
 		m.Kernel().Run()
 		if !w.Done() {
 			t.Fatalf("window %d: alltoall did not finish", window)
@@ -354,7 +424,7 @@ func TestAlltoallWindowedVariants(t *testing.T) {
 	}
 	// Zero/negative window is clamped to 1.
 	m, w := testWorld(t, 9, 2, 1)
-	w.Launch(func(r *Rank) { r.AlltoallWindowed(512, 0) })
+	w.LaunchProgram(func(r *Rank, done Cont) { r.AlltoallWindowedThen(512, 0, done) })
 	m.Kernel().Run()
 	if !w.Done() {
 		t.Fatal("clamped window did not finish")
@@ -364,7 +434,7 @@ func TestAlltoallWindowedVariants(t *testing.T) {
 func TestAlltoallMovesExpectedVolume(t *testing.T) {
 	m, w := testWorld(t, 6, 2, 2) // 8 ranks over 2 nodes
 	const per = 4096
-	w.Launch(func(r *Rank) { r.Alltoall(per) })
+	w.LaunchProgram(func(r *Rank, done Cont) { r.AlltoallThen(per, done) })
 	m.Kernel().Run()
 	if !w.Done() {
 		t.Fatal("alltoall did not finish")
@@ -395,13 +465,16 @@ func TestSingleRankCollectivesNoop(t *testing.T) {
 	// Trim to a single rank.
 	job.Placements = job.Placements[:1]
 	w := MustNewWorld(m, job, DefaultConfig())
-	w.Launch(func(r *Rank) {
-		r.Barrier()
-		r.Bcast(0, 100)
-		r.Reduce(0, 100)
-		r.Allreduce(100)
-		r.Allgather(100)
-		r.Alltoall(100)
+	w.LaunchProgram(func(r *Rank, done Cont) {
+		r.BarrierThen(func() {
+			r.BcastThen(0, 100, func() {
+				r.ReduceThen(0, 100, func() {
+					r.AllreduceThen(100, func() {
+						r.AllgatherThen(100, func() { r.AlltoallThen(100, done) })
+					})
+				})
+			})
+		})
 	})
 	k.Run()
 	if !w.Done() {
@@ -411,32 +484,36 @@ func TestSingleRankCollectivesNoop(t *testing.T) {
 
 func TestLaunchTwicePanics(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
-	w.Launch(func(r *Rank) {})
+	w.LaunchProgram(func(r *Rank, done Cont) { done() })
 	m.Kernel().Run()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on second Launch")
+			t.Fatal("expected panic on second LaunchProgram")
 		}
 	}()
-	w.Launch(func(r *Rank) {})
+	w.LaunchProgram(func(r *Rank, done Cont) { done() })
 }
 
 func TestInvalidRankPanics(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
-	w.Launch(func(r *Rank) {
+	w.LaunchProgram(func(r *Rank, done Cont) {
 		if r.Rank() != 0 {
+			done()
 			return
 		}
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for out-of-range destination")
 			}
-			// Re-panic with the kernel's kill value is not needed; just
-			// return normally so the world can finish.
+			// Finish normally so the world can complete.
+			done()
 		}()
 		r.Isend(99, 0, 10)
 	})
 	m.Kernel().Run()
+	if !w.Done() {
+		t.Fatal("world did not finish after the recovered panic")
+	}
 }
 
 func TestCompletionTime(t *testing.T) {
@@ -444,8 +521,8 @@ func TestCompletionTime(t *testing.T) {
 	if _, ok := w.CompletionTime(); ok {
 		t.Fatal("completion time available before launch")
 	}
-	w.Launch(func(r *Rank) {
-		r.Compute(sim.Duration(r.Rank()+1) * sim.Millisecond)
+	w.LaunchProgram(func(r *Rank, done Cont) {
+		r.ComputeThen(sim.Duration(r.Rank()+1)*sim.Millisecond, done)
 	})
 	m.Kernel().Run()
 	at, ok := w.CompletionTime()
@@ -474,14 +551,13 @@ func TestTwoWorldsShareTheSwitch(t *testing.T) {
 	}
 	wa := MustNewWorld(m, jobA, DefaultConfig())
 	wb := MustNewWorld(m, jobB, DefaultConfig())
-	body := func(r *Rank) {
-		for i := 0; i < 3; i++ {
-			r.Alltoall(2048)
-			r.Compute(10 * sim.Microsecond)
-		}
+	body := func(r *Rank, done Cont) {
+		repeatThen(r, 3, func(_ int, next Cont) {
+			r.AlltoallThen(2048, func() { r.ComputeThen(10*sim.Microsecond, next) })
+		}, done)
 	}
-	wa.Launch(body)
-	wb.Launch(body)
+	wa.LaunchProgram(body)
+	wb.LaunchProgram(body)
 	k.Run()
 	if !wa.Done() || !wb.Done() {
 		t.Fatal("co-running worlds did not finish")
@@ -495,11 +571,10 @@ func TestTwoWorldsShareTheSwitch(t *testing.T) {
 func TestDeterministicCompletion(t *testing.T) {
 	run := func() sim.Time {
 		m, w := testWorld(t, 77, 3, 2)
-		w.Launch(func(r *Rank) {
-			for i := 0; i < 5; i++ {
-				r.Alltoall(1500)
-				r.Allreduce(64)
-			}
+		w.LaunchProgram(func(r *Rank, done Cont) {
+			repeatThen(r, 5, func(_ int, next Cont) {
+				r.AlltoallThen(1500, func() { r.AllreduceThen(64, next) })
+			}, done)
 		})
 		m.Kernel().Run()
 		at, _ := w.CompletionTime()
@@ -526,19 +601,23 @@ func TestPointToPointSizesProperty(t *testing.T) {
 		}
 		m, w := testWorld(t, 21, 2, 1)
 		okAll := true
-		w.Launch(func(r *Rank) {
+		w.LaunchProgram(func(r *Rank, done Cont) {
 			switch r.Rank() {
 			case 0:
-				for i, s := range sizes {
-					r.Send(2, 100+i, s)
-				}
+				repeatThen(r, len(sizes), func(i int, next Cont) {
+					r.SendThen(2, 100+i, sizes[i], next)
+				}, done)
 			case 2:
-				for i, s := range sizes {
-					st := r.Recv(0, 100+i)
-					if st.Size != s {
-						okAll = false
-					}
-				}
+				repeatThen(r, len(sizes), func(i int, next Cont) {
+					recvStatusThen(r, 0, 100+i, func(st Status) {
+						if st.Size != sizes[i] {
+							okAll = false
+						}
+						next()
+					})
+				}, done)
+			default:
+				done()
 			}
 		})
 		m.Kernel().Run()
@@ -560,7 +639,7 @@ func BenchmarkAlltoall16Ranks(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := MustNewWorld(m, job, DefaultConfig())
-		w.Launch(func(r *Rank) { r.Alltoall(4096) })
+		w.LaunchProgram(func(r *Rank, done Cont) { r.AlltoallThen(4096, done) })
 		k.Run()
 		if !w.Done() {
 			b.Fatal("alltoall did not finish")

@@ -2,16 +2,12 @@ package mpisim
 
 import "github.com/hpcperf/switchprobe/internal/sim"
 
-// This file holds the continuation-passing (*Then) forms of the rank
-// primitives and collectives.  Each mirrors its blocking counterpart
-// operation for operation — same sends, same receives, same tags, same wait
-// batching — so a Program produces the byte-identical simulation schedule a
-// legacy Launch body would.  Only the three leaf primitives (ComputeThen,
-// WaitThen, WaitAllThen) dispatch on the runtime: on a goroutine rank they
-// execute the blocking form and park the continuation in the trampoline
-// slot; on a continuation rank they suspend by storing resumeK and arranging
-// a wake event.  Everything above them (SendThen, the collectives) is a
-// single implementation shared by both runtimes.
+// This file holds the rank primitives and collectives a Program is written
+// with.  Only the three leaf primitives (ComputeThen, WaitThen, WaitAllThen)
+// suspend a rank: they store the continuation in resumeK and arrange the
+// kernel event that resumes it, or — when the operation needs no wait — park
+// the continuation in the trampoline slot.  Everything above them (SendThen,
+// the collectives) is built from those three.
 
 // Continue parks k as the rank's next trampoline step, running it after the
 // caller returns with a flat stack.  Structural no-op branches of a Program
@@ -21,14 +17,8 @@ func (r *Rank) Continue(k Cont) { r.next = k }
 
 // ComputeThen occupies the rank's core for d of virtual time, then continues
 // with k.  A zero-length compute with nothing else ordered at the current
-// instant resumes inline (see sim.Kernel.InstantIdle); both runtimes apply
-// the same guard at the same position, so they stay schedule-identical.
+// instant resumes inline (see sim.Kernel.InstantIdle).
 func (r *Rank) ComputeThen(d sim.Duration, k Cont) {
-	if !r.cps {
-		r.Compute(d)
-		r.next = k
-		return
-	}
 	if d < 0 {
 		d = 0
 	}
@@ -38,14 +28,14 @@ func (r *Rank) ComputeThen(d sim.Duration, k Cont) {
 		r.next = k
 		return
 	}
-	// The exact analogue of Proc.Sleep: one pooled kernel event at now+d
-	// resumes the rank.
+	// One pooled kernel event at now+d resumes the rank.
 	kern.PostAt(kern.Now().Add(d), r.stepFn)
 	r.resumeK = k
 }
 
 // SleepThen idles the rank for d of virtual time, then continues with k
-// (identical to ComputeThen in the model, mirroring Sleep vs Compute).
+// (identical to ComputeThen in the model; the distinct name mirrors usleep
+// calls in the paper's benchmarks).
 func (r *Rank) SleepThen(d sim.Duration, k Cont) { r.ComputeThen(d, k) }
 
 // ComputeCyclesThen occupies the rank's core for the given number of CPU
@@ -54,16 +44,11 @@ func (r *Rank) ComputeCyclesThen(cycles float64, k Cont) {
 	r.ComputeThen(r.w.m.CyclesToDuration(cycles), k)
 }
 
-// WaitThen waits for req to complete, then continues with k.  Like Wait it
-// recycles the request; the status is discarded (use blocking Wait from a
-// goroutine body when the status matters).  A wait on an already-complete
-// request continues inline without parking.
+// WaitThen waits for req to complete, then continues with k.  It recycles
+// the request, so a caller that needs a receive's Status reads it once Done
+// reports true, before the wait.  A wait on an already-complete request
+// continues inline without parking (counted in sim.Stats.ProcFastResumes).
 func (r *Rank) WaitThen(req *Request, k Cont) {
-	if !r.cps {
-		r.Wait(req)
-		r.next = k
-		return
-	}
 	if req.done {
 		r.w.m.Kernel().NoteFastResume()
 		r.recycleRequest(req)
@@ -75,16 +60,11 @@ func (r *Rank) WaitThen(req *Request, k Cont) {
 	r.resumeK = k
 }
 
-// WaitAllThen waits for every request to complete — waking the rank at most
-// once, like WaitAll — then continues with k.  The requests are recycled
-// before k runs.  A wait with zero pending requests continues inline without
-// parking.
+// WaitAllThen waits for every request to complete — waking the rank once,
+// when the last outstanding request finishes — then continues with k.  The
+// requests are recycled before k runs.  A wait with zero pending requests
+// continues inline without parking (counted in sim.Stats.ProcFastResumes).
 func (r *Rank) WaitAllThen(k Cont, reqs ...*Request) {
-	if !r.cps {
-		r.WaitAll(reqs...)
-		r.next = k
-		return
-	}
 	c := &r.wc
 	c.remaining = 0
 	c.rank = r
@@ -121,11 +101,30 @@ func (r *Rank) RecvThen(src, tag int, k Cont) { r.WaitThen(r.Irecv(src, tag), k)
 func (r *Rank) SendRecvThen(dst, sendTag, size, src, recvTag int, k Cont) {
 	sreq := r.Isend(dst, sendTag, size)
 	rreq := r.Irecv(src, recvTag)
-	// Same wait order as SendRecv: receive first, then the send.
+	// Receive first, then the send.
 	r.WaitThen(rreq, func() { r.WaitThen(sreq, k) })
 }
 
-// --- Continuation-passing collectives --------------------------------------
+// --- Collectives -----------------------------------------------------------
+
+// Tag space reserved for collective operations; application tags should stay
+// below collTagBase.
+const (
+	collTagBase   = 1 << 24
+	collTagStride = 1 << 12
+)
+
+// collTag derives the tag for step of the current collective invocation.
+func (r *Rank) collTag(step int) int {
+	return collTagBase + int(r.collSeq)*collTagStride + step
+}
+
+// beginCollective advances the collective sequence number (identical on every
+// rank because collectives are called in the same order by all ranks).
+func (r *Rank) beginCollective() {
+	r.collSeq++
+	r.w.collectives++
+}
 
 // BarrierThen synchronizes all ranks using the dissemination algorithm, then
 // continues with k.
@@ -276,12 +275,17 @@ func (r *Rank) AllgatherThen(sizePerRank int, k Cont) {
 }
 
 // AlltoallThen exchanges sizePerRank bytes between every pair of ranks using
-// the windowed pairwise algorithm with the default window of two outstanding
-// exchanges (see Alltoall), then continues with k.
+// the windowed linear-shift pairwise algorithm with the default window of two
+// outstanding exchanges, the behaviour of common MPI implementations for all
+// but the shortest messages, then continues with k.  The limited window makes
+// the collective sensitive to switch latency, which is the behaviour the
+// paper observes for the FFT-based applications.
 func (r *Rank) AlltoallThen(sizePerRank int, k Cont) { r.AlltoallWindowedThen(sizePerRank, 2, k) }
 
 // AlltoallWindowedThen is AlltoallThen with an explicit bound on the number
-// of outstanding pairwise exchanges (see AlltoallWindowed).
+// of outstanding pairwise exchanges: window 1 is the fully step-synchronous
+// pairwise algorithm (most latency sensitive), window n-1 posts every
+// exchange at once (purely bandwidth limited).
 func (r *Rank) AlltoallWindowedThen(sizePerRank, window int, k Cont) {
 	r.beginCollective()
 	n := r.Size()

@@ -42,6 +42,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,10 +172,22 @@ func (fp *FaultPlan) Fingerprint() string {
 	return b.String()
 }
 
+// String renders the event in the ParseFaultPlan grammar
+// (kind:trunk@offset[:factor]), so errors name it the way it was written.
+func (e FaultEvent) String() string {
+	s := fmt.Sprintf("%s:%s@%v", e.Kind, e.Trunk, time.Duration(e.At))
+	if e.Kind == FaultDegrade {
+		s += ":" + strconv.FormatFloat(e.Factor, 'g', -1, 64)
+	}
+	return s
+}
+
 // Validate checks the plan against a built layout: every referenced trunk
-// must exist, degrade factors must be ≥ 1, the MTBF/MTTR pair must be set
-// together, and the fabric must have trunks at all (a single switch has no
-// alternate route to fail over to, so plans are rejected there).
+// must exist, degrade factors must be finite and ≥ 1, the MTBF/MTTR pair
+// must be set together, and the fabric must have trunks at all (a single
+// switch has no alternate route to fail over to, so plans are rejected
+// there).  Config.Validate and New additionally bound degrade factors by the
+// link's MTU serialization (see validateFaults).
 func (fp *FaultPlan) Validate(lay Layout) error {
 	if !fp.Active() {
 		return nil
@@ -202,11 +215,32 @@ func (fp *FaultPlan) Validate(lay Layout) error {
 		switch e.Kind {
 		case FaultTrunkDown, FaultTrunkUp:
 		case FaultDegrade:
-			if e.Factor < 1 {
-				return fmt.Errorf("netsim: degrade factor %v for trunk %q must be >= 1", e.Factor, e.Trunk)
+			// Written so that NaN, which compares false to everything, fails.
+			if !(e.Factor >= 1) || math.IsInf(e.Factor, 1) {
+				return fmt.Errorf("netsim: fault event %s: degrade factor must be a finite number >= 1", e)
 			}
 		default:
 			return fmt.Errorf("netsim: unknown fault kind %d for trunk %q", e.Kind, e.Trunk)
+		}
+	}
+	return nil
+}
+
+// validateFaults checks the fault plan against the built layout, then
+// rejects degrade factors under which an MTU-sized packet's serialization
+// time no longer fits in sim.Duration: converting the product would wrap and
+// make the degraded trunk faster instead of slower.
+func (c Config) validateFaults(lay Layout) error {
+	if err := c.Faults.Validate(lay); err != nil || !c.Faults.Active() {
+		return err
+	}
+	serMTU := Link{Bandwidth: c.LinkBandwidth}.Serialization(c.MTU)
+	for _, e := range c.Faults.Events {
+		// math.MaxInt64 rounds to 2^63 as a float64: only a product strictly
+		// below it converts to a Duration without wrapping.
+		if e.Kind == FaultDegrade && !(float64(serMTU)*e.Factor < math.MaxInt64) {
+			return fmt.Errorf("netsim: fault event %s: degraded serialization of an MTU packet (%v x %g) overflows the virtual clock",
+				e, serMTU, e.Factor)
 		}
 	}
 	return nil

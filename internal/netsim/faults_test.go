@@ -2,6 +2,9 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,9 +34,14 @@ func TestParseFaultPlan(t *testing.T) {
 		{At: 12 * sim.Millisecond, Trunk: "leaf0.up1", Kind: FaultTrunkUp},
 		{At: 2 * sim.Millisecond, Trunk: "leaf1.up0", Kind: FaultDegrade, Factor: 2.5},
 	}
+	// String re-encodes each event in the grammar it was parsed from.
+	tokens := []string{"down:leaf0.up1@5ms", "up:leaf0.up1@12ms", "degrade:leaf1.up0@2ms:2.5"}
 	for i, e := range want {
 		if fp.Events[i] != e {
 			t.Errorf("event %d = %+v, want %+v", i, fp.Events[i], e)
+		}
+		if got := e.String(); got != tokens[i] {
+			t.Errorf("event %d renders as %q, want %q", i, got, tokens[i])
 		}
 	}
 	if fp, err := ParseFaultPlan(""); err != nil || fp != nil {
@@ -73,6 +81,12 @@ func TestFaultPlanValidate(t *testing.T) {
 		func(c *Config) {
 			c.Faults = &FaultPlan{Events: []FaultEvent{{At: -sim.Millisecond, Trunk: "leaf0.up1", Kind: FaultTrunkDown}}}
 		},
+		// Non-finite factors, and a finite one whose degraded MTU
+		// serialization overflows sim.Duration (it used to wrap negative and
+		// make the trunk faster).
+		degradeBy(math.NaN()),
+		degradeBy(math.Inf(1)),
+		degradeBy(1e300),
 	}
 	for i, mutate := range bad {
 		c := faultTestConfig()
@@ -82,11 +96,39 @@ func TestFaultPlanValidate(t *testing.T) {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
-	// New must reject what Validate rejects.
+	// New must reject what Validate rejects, and a bad degrade factor is
+	// reported with the event as written.
 	c := faultTestConfig()
 	c.Faults = &FaultPlan{Events: []FaultEvent{{At: sim.Millisecond, Trunk: "nope", Kind: FaultTrunkDown}}}
 	if _, err := New(sim.NewKernel(1), c); err == nil {
 		t.Fatal("New accepted a plan referencing an unknown trunk")
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		c := faultTestConfig()
+		degradeBy(f)(&c)
+		want := "degrade:leaf0.up1@1ms:" + strconv.FormatFloat(f, 'g', -1, 64)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("factor %v: Validate error %v does not name the event %q", f, err, want)
+		}
+		if _, err := New(sim.NewKernel(1), c); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("factor %v: New error %v does not name the event %q", f, err, want)
+		}
+	}
+	// A huge factor whose degraded serialization still fits passes: the
+	// bound is the overflow, not an arbitrary cap.
+	c = faultTestConfig()
+	serMTU := Link{Bandwidth: c.LinkBandwidth}.Serialization(c.MTU)
+	degradeBy(1e18 / float64(serMTU))(&c)
+	if err := c.Validate(); err != nil {
+		t.Fatalf("a degraded MTU serialization of ~1e18ns fits in sim.Duration but was rejected: %v", err)
+	}
+}
+
+// degradeBy returns a Config mutation installing a single degrade event on
+// leaf0.up1 at 1ms with the given factor.
+func degradeBy(f float64) func(*Config) {
+	return func(c *Config) {
+		c.Faults = &FaultPlan{Events: []FaultEvent{{At: sim.Millisecond, Trunk: "leaf0.up1", Kind: FaultDegrade, Factor: f}}}
 	}
 }
 
@@ -445,4 +487,46 @@ func TestFaultFreeScheduleUnchanged(t *testing.T) {
 	if st.TrunksFailed != 0 || st.PacketsRetransmitted != 0 || st.RoutesRecomputed != 0 {
 		t.Fatal("fault counters nonzero on a fault-free run")
 	}
+}
+
+// FuzzParseFaultPlan drives the -fault-plan grammar through parsing and
+// validation on a 2x2 fat-tree.  A parse error yields no plan; a plan the
+// configuration accepts has only finite degrade factors >= 1 whose MTU
+// serialization fits in sim.Duration, re-encodes through FaultEvent.String
+// to the same events and fingerprint, and builds a network.  The checked-in
+// corpus holds the non-finite and overflowing factors that once ran as
+// "degraded" trunks, valid plans and malformed items.
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		plan, err := ParseFaultPlan(s)
+		if err != nil {
+			if plan != nil {
+				t.Fatalf("ParseFaultPlan(%q) returned a plan with error %v", s, err)
+			}
+			return
+		}
+		cfg := faultTestConfig()
+		cfg.Faults = plan
+		if err := cfg.Validate(); err != nil || !plan.Active() {
+			return
+		}
+		serMTU := Link{Bandwidth: cfg.LinkBandwidth}.Serialization(cfg.MTU)
+		items := make([]string, len(plan.Events))
+		for i, e := range plan.Events {
+			if e.Kind == FaultDegrade && !(e.Factor >= 1 && float64(serMTU)*e.Factor < math.MaxInt64) {
+				t.Fatalf("%q: accepted degrade factor %v", s, e.Factor)
+			}
+			items[i] = e.String()
+		}
+		again, err := ParseFaultPlan(strings.Join(items, ","))
+		if err != nil {
+			t.Fatalf("%q: re-encoded plan %q does not parse: %v", s, strings.Join(items, ","), err)
+		}
+		if !reflect.DeepEqual(again.Events, plan.Events) || again.Fingerprint() != plan.Fingerprint() {
+			t.Fatalf("%q: re-encoding changed the plan:\n%+v\n%+v", s, plan.Events, again.Events)
+		}
+		if _, err := New(sim.NewKernel(1), cfg); err != nil {
+			t.Fatalf("%q: Validate accepted a plan New rejects: %v", s, err)
+		}
+	})
 }

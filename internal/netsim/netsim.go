@@ -213,7 +213,7 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	return c.Faults.Validate(lay)
+	return c.validateFaults(lay)
 }
 
 // validateScalars checks everything but the topology layout, so Network
@@ -683,7 +683,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	if err := layout.validate(cfg.Nodes); err != nil {
 		return nil, err
 	}
-	if err := cfg.Faults.Validate(layout); err != nil {
+	if err := cfg.validateFaults(layout); err != nil {
 		return nil, err
 	}
 	n := &Network{

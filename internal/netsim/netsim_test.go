@@ -334,30 +334,30 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 		// every 200 µs.
 		for node := 0; node < cfg.Nodes; node++ {
 			node := node
-			k.Spawn("bg", func(p *sim.Proc) {
-				for {
-					for m := 0; m < bgMessages; m++ {
-						dst := (node + 1 + m%(cfg.Nodes-1)) % cfg.Nodes
-						if dst == node {
-							dst = (dst + 1) % cfg.Nodes
-						}
-						_ = n.SendMessage(node, dst, 40*1024, Flow{Class: "bg", ID: node}, nil)
+			var burst func()
+			burst = func() {
+				for m := 0; m < bgMessages; m++ {
+					dst := (node + 1 + m%(cfg.Nodes-1)) % cfg.Nodes
+					if dst == node {
+						dst = (dst + 1) % cfg.Nodes
 					}
-					p.Sleep(200 * sim.Microsecond)
+					_ = n.SendMessage(node, dst, 40*1024, Flow{Class: "bg", ID: node}, nil)
 				}
-			})
+				k.Post(200*sim.Microsecond, burst)
+			}
+			k.Post(0, burst)
 		}
 		var sum float64
 		var count int
-		k.Spawn("probe", func(p *sim.Proc) {
-			for {
-				p.Sleep(50 * sim.Microsecond)
-				_ = n.SendProbe(0, 2, 1024, Flow{Class: "impact"}, func(d Delivery) {
-					sum += d.Latency().Micros()
-					count++
-				})
-			}
-		})
+		var probe func()
+		probe = func() {
+			_ = n.SendProbe(0, 2, 1024, Flow{Class: "impact"}, func(d Delivery) {
+				sum += d.Latency().Micros()
+				count++
+			})
+			k.Post(50*sim.Microsecond, probe)
+		}
+		k.Post(0, func() { k.Post(50*sim.Microsecond, probe) })
 		k.RunUntil(sim.Time(20 * sim.Millisecond))
 		k.Shutdown()
 		if count == 0 {

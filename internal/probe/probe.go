@@ -155,8 +155,7 @@ func Launch(m *cluster.Machine, mpiCfg mpisim.Config, cfg Config) (*Probe, error
 // run is the per-rank ImpactB loop, a direct transcription of the paper's
 // pseudo-code: even nodes initiate a ping-pong with the same core on the next
 // node, odd nodes answer, and each exchange is followed by a pause.  The
-// loops are continuation-passing Programs — they run on either rank runtime
-// and never terminate (the caller stops them via Kernel.Shutdown), so the
+// loops never terminate (the caller stops them via Kernel.Shutdown), so the
 // program's done continuation is never invoked.
 func (p *Probe) run(r *mpisim.Rank, tasksPerNode, nodes int) {
 	size := r.Size()

@@ -77,18 +77,19 @@ func TestLatenciesRiseUnderBackgroundTraffic(t *testing.T) {
 		if withTraffic {
 			// Background blasters on separate flows, all-to-all pattern.
 			net := m.Network()
+			k := m.Kernel()
 			for n := 0; n < 4; n++ {
 				n := n
-				m.Kernel().Spawn("bg", func(pr *sim.Proc) {
-					for {
-						for d := 0; d < 4; d++ {
-							if d != n {
-								_ = net.SendMessage(n, d, 64*1024, netsim.Flow{Class: "bg", ID: n}, nil)
-							}
+				var burst func()
+				burst = func() {
+					for d := 0; d < 4; d++ {
+						if d != n {
+							_ = net.SendMessage(n, d, 64*1024, netsim.Flow{Class: "bg", ID: n}, nil)
 						}
-						pr.Sleep(150 * sim.Microsecond)
 					}
-				})
+					k.Post(150*sim.Microsecond, burst)
+				}
+				k.Post(0, burst)
 			}
 		}
 		m.Kernel().RunUntil(sim.Time(20 * sim.Millisecond))

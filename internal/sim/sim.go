@@ -1,10 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock by executing scheduled events in
-// timestamp order.  On top of plain callback events it offers cooperative
-// processes (Proc): lightweight coroutines implemented on goroutines where at
-// most one process runs at any instant, so simulation code needs no locking
-// and is fully deterministic for a fixed seed.
+// timestamp order on the goroutine that calls Run/RunUntil.  Every simulated
+// activity — network pipeline stages, MPI ranks written as continuations,
+// traffic generators — is a chain of callback events, so simulation code needs
+// no locking and is fully deterministic for a fixed seed.
 //
 // Two scheduling APIs exist.  At/After return a cancellable *Event handle and
 // allocate a fresh event per call.  Post/PostAt/Call/CallAt are fire-and-forget:
@@ -25,7 +25,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/hpcperf/switchprobe/internal/telemetry"
 )
@@ -143,12 +142,10 @@ type Stats struct {
 	// schedule is byte-identical with or without elision — only the kernel's
 	// bookkeeping cost changes.
 	EventsElided uint64
-	// ProcSwitches is the number of kernel-to-process control transfers.
-	ProcSwitches uint64
-	// ProcFastResumes is the number of non-parking process fast paths taken
-	// instead of a park/dispatch cycle: waits on already-complete operations,
-	// waits with zero pending requests, and zero-length sleeps resumed inline
-	// under the InstantIdle guard.
+	// ProcFastResumes is the number of non-parking fast paths a suspended
+	// activity (an MPI rank) took instead of posting its resume event: waits
+	// on already-complete operations, waits with zero pending requests, and
+	// zero-length computes resumed inline under the InstantIdle guard.
 	ProcFastResumes uint64
 }
 
@@ -201,8 +198,7 @@ func (r *eventRing) pop() *Event {
 
 // Kernel is a discrete-event simulation engine.  It is not safe for
 // concurrent use; all interaction must happen from the goroutine driving
-// Run/RunUntil or from code executed by the kernel itself (events and
-// processes).
+// Run/RunUntil or from code executed by the kernel itself (events).
 type Kernel struct {
 	now     Time
 	events  []heapEntry // 4-ary min-heap ordered by packed (at, seq) keys
@@ -221,24 +217,11 @@ type Kernel struct {
 	// the first sampled emission (0 = none yet).  Purely observational: it
 	// exists only while a trace is being recorded.
 	tracePid int64
-
-	procSeq int
-	procs   []*Proc
-	current *Proc
-	// yielded is signalled by the running process when it parks or ends,
-	// returning control to the kernel loop.  Capacity 1 keeps the handoff a
-	// single token store instead of a blocking rendezvous on both sides.
-	yielded  chan struct{}
-	live     int
-	shutdown bool
 }
 
 // NewKernel creates a kernel whose random streams derive from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		seed:    seed,
-		yielded: make(chan struct{}, 1),
-	}
+	return &Kernel{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -255,9 +238,9 @@ func (k *Kernel) Stats() Stats { return k.stats }
 // EventsElided statistic; it has no effect on execution.
 func (k *Kernel) NoteElided(n uint64) { k.stats.EventsElided += n }
 
-// NoteFastResume records one taken non-parking process fast path: a wait on
-// an already-complete operation, a wait with zero pending requests, or a
-// zero-length sleep resumed inline under the InstantIdle guard.  It only
+// NoteFastResume records one taken non-parking fast path: a wait on an
+// already-complete operation, a wait with zero pending requests, or a
+// zero-length compute resumed inline under the InstantIdle guard.  It only
 // feeds the ProcFastResumes statistic; it has no effect on execution.
 func (k *Kernel) NoteFastResume() { k.stats.ProcFastResumes++ }
 
@@ -278,7 +261,7 @@ type AuxPeeker interface {
 // as the very next action with no intervening work, so a client may instead
 // run its continuation inline: the only change to the schedule is that every
 // later sequence number shifts down by one — uniformly, which preserves all
-// relative (time, seq) orderings — and the park/dispatch round-trip is saved.
+// relative (time, seq) orderings — and the resume event is saved.
 // Cancelled heap events and non-peekable lanes make the answer conservatively
 // false.
 func (k *Kernel) InstantIdle() bool {
@@ -411,9 +394,6 @@ func (k *Kernel) Pending() int {
 	}
 	return n
 }
-
-// LiveProcs reports the number of spawned processes that have not finished.
-func (k *Kernel) LiveProcs() int { return k.live }
 
 // --- event heap -------------------------------------------------------------
 //
@@ -740,15 +720,14 @@ func capDeadline(deadline Time) Time {
 	return deadline
 }
 
-// Shutdown terminates all live processes by unwinding their goroutines.  It
-// must be called from outside the kernel (not from an event or process) and
-// leaves the kernel unusable for further spawns.  It is used to release
-// resources when an experiment window ends before its processes finish.
-// Calling Shutdown more than once is a no-op.
+// Shutdown ends a run whose activities never finish on their own (an
+// endless rank loop, a traffic generator): it cancels every pending ring and
+// heap event, counting each in Stats.EventsCancelled, so none of them fires
+// and their pooled structs return to the free list.  It must be called from
+// outside the kernel (not from an event).  An attached deferred lane keeps
+// its entries; a later Run drains them.  Calling Shutdown again cancels only
+// events scheduled since.
 func (k *Kernel) Shutdown() {
-	k.shutdown = true
-	// Cancel all pending events so no further work is scheduled, returning
-	// pooled ones to the free list.
 	for _, he := range k.events {
 		k.stats.EventsCancelled++
 		he.e.cancelled = true
@@ -761,27 +740,4 @@ func (k *Kernel) Shutdown() {
 		e.cancelled = true
 		k.recycle(e)
 	}
-	// Unwind every parked process.
-	procs := make([]*Proc, len(k.procs))
-	copy(procs, k.procs)
-	// Kill in reverse spawn order so dependent procs unwind before the
-	// infrastructure they use.
-	sort.SliceStable(procs, func(i, j int) bool { return procs[i].id > procs[j].id })
-	for _, p := range procs {
-		if p.done {
-			continue
-		}
-		p.killed = true
-		// Non-blocking kill handshake: a parked process consumes the resume
-		// token and unwinds.  A process that is mid-handoff (it yielded but
-		// has not re-parked, or already holds an unconsumed token) observes
-		// the killed flag on its own the next time it passes through pause;
-		// blocking on the send here would deadlock Shutdown against it.
-		select {
-		case p.resume <- struct{}{}:
-		default:
-		}
-		<-k.yielded
-	}
-	k.procs = nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestDurationString(t *testing.T) {
@@ -150,235 +149,39 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-func TestProcSleep(t *testing.T) {
-	k := NewKernel(1)
-	var wake Time
-	k.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(25 * Microsecond)
-		wake = p.Now()
-	})
-	k.Run()
-	if wake != Time(25*Microsecond) {
-		t.Fatalf("woke at %d, want %d", wake, 25*Microsecond)
-	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live procs = %d, want 0", k.LiveProcs())
-	}
-}
-
-func TestProcSequencing(t *testing.T) {
-	// Two procs sleeping interleaved must observe a consistent global order.
-	k := NewKernel(1)
-	var order []string
-	k.Spawn("a", func(p *Proc) {
-		p.Sleep(10)
-		order = append(order, "a10")
-		p.Sleep(20)
-		order = append(order, "a30")
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Sleep(20)
-		order = append(order, "b20")
-		p.Sleep(20)
-		order = append(order, "b40")
-	})
-	k.Run()
-	want := []string{"a10", "b20", "a30", "b40"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestBlockWake(t *testing.T) {
-	k := NewKernel(1)
-	var resumed Time
-	p := k.Spawn("waiter", func(p *Proc) {
-		p.Block()
-		resumed = p.Now()
-	})
-	k.At(100, func() { k.Wake(p) })
-	k.Run()
-	if resumed != 100 {
-		t.Fatalf("resumed at %d, want 100", resumed)
-	}
-}
-
-func TestWakeBeforeBlockIsNotLost(t *testing.T) {
-	k := NewKernel(1)
-	done := false
-	var p *Proc
-	p = k.Spawn("w", func(p *Proc) {
-		// The wake below is delivered while this proc is running (same
-		// timestamp, scheduled earlier), i.e. before Block is reached once the
-		// proc sleeps.  It must not be lost.
-		p.Sleep(10)
-		p.Block()
-		done = true
-	})
-	k.At(5, func() { k.Wake(p) })
-	k.Run()
-	if !done {
-		t.Fatal("wake delivered before Block was lost")
-	}
-}
-
-func TestWakeFinishedProcIsNoop(t *testing.T) {
-	k := NewKernel(1)
-	p := k.Spawn("short", func(p *Proc) {})
-	k.Run()
-	k.Wake(p) // must not panic or deadlock
-	k.Run()
-}
-
-func TestWaitUntil(t *testing.T) {
-	k := NewKernel(1)
-	ready := false
-	var seen Time
-	p := k.Spawn("w", func(p *Proc) {
-		p.WaitUntil(func() bool { return ready })
-		seen = p.Now()
-	})
-	// Spurious wake at t=10 (predicate still false), real one at t=50.
-	k.At(10, func() { k.Wake(p) })
-	k.At(50, func() { ready = true; k.Wake(p) })
-	k.Run()
-	if seen != 50 {
-		t.Fatalf("predicate satisfied at %d, want 50", seen)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel(1)
-	var wg WaitGroup
-	var doneAt Time
-	wg.Add(3)
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		k.At(Time(i*10), func() { wg.Done() })
-	}
-	k.Run()
-	if doneAt != 30 {
-		t.Fatalf("WaitGroup released at %d, want 30", doneAt)
-	}
-}
-
-func TestWaitGroupAlreadyZero(t *testing.T) {
-	k := NewKernel(1)
-	var wg WaitGroup
-	ran := false
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	k.Run()
-	if !ran {
-		t.Fatal("Wait on zero counter blocked")
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative WaitGroup counter")
-		}
-	}()
-	var wg WaitGroup
-	wg.Done()
-}
-
-func TestSignalBroadcast(t *testing.T) {
-	k := NewKernel(1)
-	var sig Signal
-	released := 0
-	for i := 0; i < 4; i++ {
-		k.Spawn("w", func(p *Proc) {
-			sig.Wait(p)
-			released++
-		})
-	}
-	k.At(10, func() {
-		if sig.Waiting() != 4 {
-			t.Errorf("waiting = %d, want 4", sig.Waiting())
-		}
-		sig.Broadcast()
-	})
-	k.Run()
-	if released != 4 {
-		t.Fatalf("released = %d, want 4", released)
-	}
-	if sig.Waiting() != 0 {
-		t.Fatalf("waiting after broadcast = %d", sig.Waiting())
-	}
-}
-
-func TestSpawnFromProc(t *testing.T) {
-	k := NewKernel(1)
-	var childAt Time
-	k.Spawn("parent", func(p *Proc) {
-		p.Sleep(10)
-		k.Spawn("child", func(c *Proc) {
-			c.Sleep(5)
-			childAt = c.Now()
-		})
-		p.Sleep(100)
-	})
-	k.Run()
-	if childAt != 15 {
-		t.Fatalf("child finished at %d, want 15", childAt)
-	}
-}
-
-func TestShutdownUnwindsProcs(t *testing.T) {
-	k := NewKernel(1)
-	for i := 0; i < 8; i++ {
-		k.Spawn("looper", func(p *Proc) {
-			for {
-				p.Sleep(10)
-			}
-		})
-	}
-	k.RunUntil(1000)
-	if k.LiveProcs() != 8 {
-		t.Fatalf("live = %d, want 8", k.LiveProcs())
-	}
-	k.Shutdown()
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live after shutdown = %d, want 0", k.LiveProcs())
-	}
-}
-
+// TestShutdownBeforeFirstDispatch: Shutdown cancels every pending ring and
+// heap event, counts them, and none fires — neither on a later Run nor when a
+// spent At handle is cancelled again.
 func TestShutdownBeforeFirstDispatch(t *testing.T) {
 	k := NewKernel(1)
-	ran := false
-	k.Spawn("never", func(p *Proc) { ran = true })
-	// Do not run the kernel at all: the proc has not had its first dispatch.
+	fired := 0
+	k.PostAt(0, func() { fired++ })         // ring
+	k.CallAt(0, func(any) { fired++ }, nil) // ring
+	k.Post(10, func() { fired++ })          // heap, pooled
+	h := k.At(20, func() { fired++ })       // heap, handle
+	k.Call(30, func(any) { fired++ }, nil)  // heap, pooled
 	k.Shutdown()
-	if ran {
-		t.Fatal("process body ran despite shutdown before dispatch")
+	if got := k.Stats().EventsCancelled; got != 5 {
+		t.Fatalf("cancelled = %d, want 5", got)
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live = %d, want 0", k.LiveProcs())
+	if k.Pending() != 0 {
+		t.Fatalf("pending after shutdown = %d, want 0", k.Pending())
 	}
-}
-
-func TestSpawnAfterShutdownPanics(t *testing.T) {
-	k := NewKernel(1)
-	k.Shutdown()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	k.Spawn("x", func(p *Proc) {})
+	h.Cancel()
+	if end := k.Run(); end != 0 || fired != 0 {
+		t.Fatalf("after shutdown: clock %d and %d events fired, want 0 and 0", end, fired)
+	}
+	st := k.Stats()
+	if st.EventsFired != 0 || st.EventsCancelled != 5 {
+		t.Fatalf("stats after shutdown = %+v, want 0 fired and 5 cancelled", st)
+	}
+	// The kernel stays usable: events posted after Shutdown run normally, on
+	// pooled structs the cancellation returned to the free list.
+	k.Post(5, func() { fired++ })
+	k.Run()
+	if fired != 1 || k.Stats().PoolReuses == 0 {
+		t.Fatalf("post-shutdown event: fired = %d, pool reuses = %d; want 1 and > 0", fired, k.Stats().PoolReuses)
+	}
 }
 
 func TestDeterministicRandStreams(t *testing.T) {
@@ -400,26 +203,6 @@ func TestDeterministicRandStreams(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("different names produced identical streams")
-	}
-}
-
-func TestProcRandDeterministic(t *testing.T) {
-	draw := func() []int64 {
-		k := NewKernel(7)
-		var vals []int64
-		k.Spawn("p", func(p *Proc) {
-			for i := 0; i < 8; i++ {
-				vals = append(vals, p.Rand().Int63())
-			}
-		})
-		k.Run()
-		return vals
-	}
-	a, b := draw(), draw()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("proc random stream not deterministic across identical runs")
-		}
 	}
 }
 
@@ -469,19 +252,26 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: sleeping a sequence of durations accumulates exactly.
+// Property: a chain of events, each posting the next after a step of the
+// sequence, accumulates the steps exactly.
 func TestSleepAccumulationProperty(t *testing.T) {
 	prop := func(steps []uint16) bool {
 		k := NewKernel(5)
 		var total Time
 		var end Time
-		k.Spawn("p", func(p *Proc) {
-			for _, s := range steps {
-				p.Sleep(Duration(s))
-				total += Time(s)
+		i := 0
+		var next func()
+		next = func() {
+			if i == len(steps) {
+				end = k.Now()
+				return
 			}
-			end = p.Now()
-		})
+			s := steps[i]
+			i++
+			total += Time(s)
+			k.Post(Duration(s), next)
+		}
+		k.PostAt(0, next)
 		k.Run()
 		return end == total
 	}
@@ -497,21 +287,6 @@ func BenchmarkEventScheduling(b *testing.B) {
 		k.At(Time(i), func() {})
 		k.step(-1)
 	}
-}
-
-func BenchmarkProcContextSwitch(b *testing.B) {
-	k := NewKernel(1)
-	k.Spawn("switcher", func(p *Proc) {
-		for {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.step(-1)
-	}
-	b.StopTimer()
-	k.Shutdown()
 }
 
 // --- hot-path and shutdown regression tests ---------------------------------
@@ -587,74 +362,14 @@ func TestStatsCounters(t *testing.T) {
 	e := k.At(10, func() {})
 	e.Cancel()
 	k.Post(5, func() {})
-	k.Spawn("p", func(p *Proc) { p.Sleep(1) })
+	// A two-step chain: a same-instant start event (ring) posting a follow-up
+	// one tick later, which reuses the start event's recycled struct.
+	k.PostAt(0, func() { k.Post(1, func() {}) })
 	k.Run()
-	st := k.Stats()
-	if st.EventsScheduled < 4 {
-		t.Fatalf("scheduled = %d, want >= 4", st.EventsScheduled)
+	want := Stats{EventsScheduled: 4, EventsFired: 3, EventsCancelled: 1, PoolReuses: 1, FastPathEvents: 1}
+	if st := k.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	if st.EventsFired < 3 {
-		t.Fatalf("fired = %d, want >= 3", st.EventsFired)
-	}
-	if st.EventsCancelled != 1 {
-		t.Fatalf("cancelled = %d, want 1", st.EventsCancelled)
-	}
-	if st.ProcSwitches < 2 {
-		t.Fatalf("proc switches = %d, want >= 2", st.ProcSwitches)
-	}
-}
-
-// TestShutdownWithDeferredPause is the regression test for the kill
-// handshake: a process whose unwind path re-enters the scheduler (a deferred
-// Sleep here, i.e. it is mid-schedule rather than parked when the kill
-// arrives) must not deadlock Shutdown or leak the process.
-func TestShutdownWithDeferredPause(t *testing.T) {
-	k := NewKernel(1)
-	k.Spawn("deferred-sleep", func(p *Proc) {
-		defer p.Sleep(10) // runs while the proc is being killed
-		for {
-			p.Sleep(10)
-		}
-	})
-	k.Spawn("deferred-block", func(p *Proc) {
-		defer p.Block()
-		for {
-			p.Sleep(10)
-		}
-	})
-	k.RunUntil(100)
-	done := make(chan struct{})
-	go func() {
-		k.Shutdown()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown deadlocked on a process that re-entered the scheduler while unwinding")
-	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live procs after shutdown = %d, want 0", k.LiveProcs())
-	}
-}
-
-func TestShutdownMixedProcStates(t *testing.T) {
-	k := NewKernel(1)
-	var blocked *Proc
-	blocked = k.Spawn("blocked", func(p *Proc) { p.Block() })
-	k.Spawn("finished", func(p *Proc) {})
-	k.Spawn("sleeping", func(p *Proc) {
-		for {
-			p.Sleep(7)
-		}
-	})
-	k.RunUntil(50)
-	k.Spawn("never-dispatched", func(p *Proc) { t.Error("never-dispatched proc ran") })
-	k.Shutdown()
-	if k.LiveProcs() != 0 {
-		t.Fatalf("live procs after shutdown = %d, want 0", k.LiveProcs())
-	}
-	k.Wake(blocked) // waking a dead proc stays a no-op
 }
 
 func BenchmarkPooledEventScheduling(b *testing.B) {
@@ -666,25 +381,6 @@ func BenchmarkPooledEventScheduling(b *testing.B) {
 		k.PostAt(Time(i), fn)
 		k.step(-1)
 	}
-}
-
-func BenchmarkSameTimeWakeup(b *testing.B) {
-	// The Wake→dispatch path of a parked process: pooled event + FIFO ring.
-	k := NewKernel(1)
-	k.Spawn("blocker", func(p *Proc) {
-		for {
-			p.Block()
-		}
-	})
-	k.step(-1) // first dispatch, parks the proc
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.procs[0].Wake()
-		k.step(-1)
-	}
-	b.StopTimer()
-	k.Shutdown()
 }
 
 // fakeLane is a minimal AuxQueue: deferred entries carrying real sequence

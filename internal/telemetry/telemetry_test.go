@@ -256,3 +256,69 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal("/debug/pprof index not served")
 	}
 }
+
+// FuzzPrometheusEscaping renders a counter with an arbitrary label value and
+// help text and parses the exposition back: every series stays on one line,
+// the HELP line appears only for a non-empty help, and unescaping the HELP
+// text and the quoted label value recovers the inputs byte for byte.
+func FuzzPrometheusEscaping(f *testing.F) {
+	f.Fuzz(func(t *testing.T, value, help string) {
+		r := NewRegistry()
+		r.Counter("fuzz_total", help, "policy", value).Add(2)
+		var b bytes.Buffer
+		if err := WritePrometheus(&b, r); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+		want := 2
+		if help != "" {
+			want = 3
+			const pre = "# HELP fuzz_total "
+			if got, ok := unescapeExposition(strings.TrimPrefix(lines[0], pre), false); !strings.HasPrefix(lines[0], pre) || !ok || got != help {
+				t.Fatalf("help %q rendered as %q", help, lines[0])
+			}
+		}
+		if len(lines) != want {
+			t.Fatalf("value %q, help %q: %d exposition lines, want %d:\n%s", value, help, len(lines), want, b.String())
+		}
+		const pre, suf = `fuzz_total{policy="`, `"} 2`
+		sample := lines[want-1]
+		if !strings.HasPrefix(sample, pre) || !strings.HasSuffix(sample, suf) || len(sample) < len(pre)+len(suf) {
+			t.Fatalf("value %q: malformed sample line %q", value, sample)
+		}
+		if got, ok := unescapeExposition(sample[len(pre):len(sample)-len(suf)], true); !ok || got != value {
+			t.Fatalf("label value %q rendered as %q", value, sample)
+		}
+	})
+}
+
+// unescapeExposition reverses the text format's escaping: \\ and \n, plus \"
+// inside a quoted label value.  It reports false on a dangling or unknown
+// escape and, for label values, on an unescaped double quote.
+func unescapeExposition(s string, label bool) (string, bool) {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '"' && label {
+			return "", false
+		}
+		if c != '\\' {
+			b.WriteByte(c)
+			continue
+		}
+		if i++; i == len(s) {
+			return "", false
+		}
+		switch {
+		case s[i] == '\\':
+			b.WriteByte('\\')
+		case s[i] == 'n':
+			b.WriteByte('\n')
+		case s[i] == '"' && label:
+			b.WriteByte('"')
+		default:
+			return "", false
+		}
+	}
+	return b.String(), true
+}

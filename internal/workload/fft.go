@@ -32,9 +32,6 @@ func (f *FFTW) Name() string { return "FFTW" }
 // Placement implements App: 4 ranks per socket on every node.
 func (f *FFTW) Placement(nodes int) (int, int) { return 4, nodes }
 
-// Iterate implements App (blocking form of IterateThen).
-func (f *FFTW) Iterate(r *mpisim.Rank, iter int) { iterate(f, r, iter) }
-
 // IterateThen implements App: transpose, local FFTs, transpose back, local
 // FFTs.
 func (f *FFTW) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
@@ -86,9 +83,6 @@ func (v *VPFFT) Name() string { return "VPFFT" }
 
 // Placement implements App: 4 ranks per socket on every node.
 func (v *VPFFT) Placement(nodes int) (int, int) { return 4, nodes }
-
-// Iterate implements App (blocking form of IterateThen).
-func (v *VPFFT) Iterate(r *mpisim.Rank, iter int) { iterate(v, r, iter) }
 
 // IterateThen implements App.
 func (v *VPFFT) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {

@@ -43,9 +43,6 @@ func (m *MCB) Name() string { return "MCB" }
 // Placement implements App: 4 ranks per socket on every node.
 func (m *MCB) Placement(nodes int) (int, int) { return 4, nodes }
 
-// Iterate implements App (blocking form of IterateThen).
-func (m *MCB) Iterate(r *mpisim.Rank, iter int) { iterate(m, r, iter) }
-
 // IterateThen implements App.
 func (m *MCB) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
 	n := r.Size()
@@ -114,9 +111,6 @@ func (a *AMG) Name() string { return "AMG" }
 
 // Placement implements App: 4 ranks per socket on every node.
 func (a *AMG) Placement(nodes int) (int, int) { return 4, nodes }
-
-// Iterate implements App (blocking form of IterateThen).
-func (a *AMG) Iterate(r *mpisim.Rank, iter int) { iterate(a, r, iter) }
 
 // IterateThen implements App: one V-cycle, occasionally followed by a dense
 // phase.

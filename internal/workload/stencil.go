@@ -47,9 +47,6 @@ func (l *Lulesh) Placement(nodes int) (int, int) {
 	return 2, use
 }
 
-// Iterate implements App (blocking form of IterateThen).
-func (l *Lulesh) Iterate(r *mpisim.Rank, iter int) { iterate(l, r, iter) }
-
 // IterateThen implements App.
 func (l *Lulesh) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
 	neighbors := gridNeighbors(r.Rank(), r.Size(), 3)
@@ -95,9 +92,6 @@ func (m *MILC) Name() string { return "MILC" }
 
 // Placement implements App: 4 ranks per socket on every node.
 func (m *MILC) Placement(nodes int) (int, int) { return 4, nodes }
-
-// Iterate implements App (blocking form of IterateThen).
-func (m *MILC) Iterate(r *mpisim.Rank, iter int) { iterate(m, r, iter) }
 
 // IterateThen implements App: two Dslash halo exchanges plus the CG
 // reduction.

@@ -35,12 +35,7 @@ import (
 
 // App is one application model.  One outer iteration is executed by every
 // rank in a loop; the measurement harness times iterations to obtain the
-// application's performance under different network conditions.  IterateThen
-// is the primary form — a continuation-passing body that runs on either rank
-// runtime — and Iterate is its blocking wrapper for goroutine-backed ranks
-// (every model implements Iterate by driving IterateThen through
-// mpisim.Rank.RunInline, so the two are the same operations by
-// construction).
+// application's performance under different network conditions.
 type App interface {
 	// Name is the application's short name (e.g. "FFTW").
 	Name() string
@@ -48,12 +43,10 @@ type App interface {
 	// application given the number of nodes attached to the switch:
 	// ranks-per-socket and how many of the nodes to use.
 	Placement(nodes int) (ranksPerSocket, useNodes int)
-	// Iterate runs one outer iteration of the application on rank r, which
-	// must be goroutine-backed.  iter is the iteration index (some
-	// applications change behaviour across iterations, e.g. AMG's phases).
-	Iterate(r *mpisim.Rank, iter int)
-	// IterateThen runs one outer iteration on rank r in continuation-passing
-	// style, continuing with k when the iteration completes.
+	// IterateThen runs one outer iteration of the application on rank r in
+	// continuation-passing style, continuing with k when the iteration
+	// completes.  iter is the iteration index (some applications change
+	// behaviour across iterations, e.g. AMG's phases).
 	IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont)
 }
 
@@ -154,13 +147,6 @@ func haloExchangeThen(r *mpisim.Rank, neighbors []int, size, tag int, k mpisim.C
 		reqs = append(reqs, r.Isend(nb, tag, size))
 	}
 	r.WaitAllThen(k, reqs...)
-}
-
-// iterate is the shared blocking wrapper behind every model's Iterate: it
-// drives the continuation-passing IterateThen to completion on a
-// goroutine-backed rank.
-func iterate(a App, r *mpisim.Rank, iter int) {
-	r.RunInline(func(done mpisim.Cont) { a.IterateThen(r, iter, done) })
 }
 
 // gridNeighbors returns the 2*dims neighbors of rank in a periodic Cartesian

@@ -27,17 +27,30 @@ func runApp(t testing.TB, app App, nodes, iters int) (sim.Duration, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Launch(func(r *mpisim.Rank) {
-		for i := 0; i < iters; i++ {
-			app.Iterate(r, i)
-		}
-	})
+	w.LaunchProgram(iterations(app, iters))
 	k.Run()
 	if !w.Done() {
 		t.Fatalf("%s did not finish", app.Name())
 	}
 	at, _ := w.CompletionTime()
 	return sim.Duration(at), m.Network().Stats().BytesByClass[app.Name()]
+}
+
+// iterations is the Program that runs iters iterations of app on every rank.
+func iterations(app App, iters int) mpisim.Program {
+	return func(r *mpisim.Rank, done mpisim.Cont) {
+		i := 0
+		var loop mpisim.Cont
+		loop = func() {
+			if i == iters {
+				r.Continue(done)
+				return
+			}
+			i++
+			app.IterateThen(r, i-1, loop)
+		}
+		loop()
+	}
 }
 
 func TestRegistryNamesAndOrder(t *testing.T) {
@@ -302,12 +315,7 @@ func BenchmarkFFTWIteration(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := mpisim.MustNewWorld(m, job, mpisim.DefaultConfig())
-	iters := b.N
-	w.Launch(func(r *mpisim.Rank) {
-		for i := 0; i < iters; i++ {
-			app.Iterate(r, i)
-		}
-	})
+	w.LaunchProgram(iterations(app, b.N))
 	b.ResetTimer()
 	k.Run()
 }
