@@ -59,6 +59,7 @@ func sharedSuite(b *testing.B) *experiments.Suite {
 // application) rather than a cached-artifact lookup; it is the headline
 // simulator-throughput benchmark.
 func BenchmarkFig3PacketLatencies(b *testing.B) {
+	b.ReportAllocs()
 	experiments.ResetSimUsage()
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(experiments.MustNewConfig(benchPreset(), 1))
@@ -138,6 +139,7 @@ func BenchmarkFig7DegradationCurves(b *testing.B) {
 // a fresh suite per iteration so ns/op measures the real co-run campaign
 // (baselines plus every unordered application pair) end to end.
 func BenchmarkTable1PairSlowdowns(b *testing.B) {
+	b.ReportAllocs()
 	experiments.ResetSimUsage()
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(experiments.MustNewConfig(benchPreset(), 1))

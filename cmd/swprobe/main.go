@@ -252,6 +252,10 @@ func run(args []string, out *os.File) error {
 			schedSpec.Policies = append(schedSpec.Policies, p)
 		}
 	}
+	// Reject a bad arrival stream before any experiment runs.
+	if err := schedSpec.Validate(cfg); err != nil {
+		return err
+	}
 	faultsSpec := experiments.FaultsSpec{
 		Sched: schedSpec,
 		MTBF:  sim.Duration(*mtbf),

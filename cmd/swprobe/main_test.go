@@ -213,6 +213,21 @@ func TestRunValidatesSchedFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "sched") {
 		t.Fatalf("experiment validation should mention sched: %v", err)
 	}
+	// A mean arrival gap that is not finite, is negative, or whose 16-job
+	// stream overflows the virtual clock is rejected upfront under both
+	// campaigns that read it, with the value in the message: unchecked, NaN
+	// and Inf panic in the scheduler, -1 silently runs as 0 (derive from
+	// load) and 1e300 reports a mean stretch below 1.
+	for _, exp := range []string{"sched", "faults", "fig6,faults"} {
+		for _, c := range []struct{ arg, want string }{
+			{"NaN", "NaN"}, {"Inf", "+Inf"}, {"-Inf", "-Inf"}, {"-1", "-1"}, {"1e300", "1e+300"}, {"1e12", "1e+12"},
+		} {
+			err := run([]string{"-preset", "ci", "-exp", exp, "-arrivals", c.arg}, os.Stdout)
+			if err == nil || !strings.Contains(err.Error(), "inter-arrival "+c.want+" ms") {
+				t.Errorf("-exp %s -arrivals %s: want an error naming %s, got %v", exp, c.arg, c.want, err)
+			}
+		}
+	}
 }
 
 // TestRunSchedEndToEnd runs the scheduler campaign through the CLI on the

@@ -525,17 +525,17 @@ func launchAppLoop(m *cluster.Machine, o Options, app workload.App, class string
 	world.LaunchProgram(func(r *mpisim.Rank, _ mpisim.Cont) {
 		// An endless iteration loop: it never invokes the done continuation
 		// (the measurement window ends it via Kernel.Shutdown).
+		loop := app.Rank(r)
 		iter := 0
-		var loop, after mpisim.Cont
-		loop = func() { app.IterateThen(r, iter, after) }
+		var after mpisim.Cont
 		after = func() {
 			if r.Rank() == 0 {
 				ar.iterEnds = append(ar.iterEnds, r.Now())
 			}
 			iter++
-			loop()
+			loop(iter, after)
 		}
-		loop()
+		loop(iter, after)
 	})
 	return ar, nil
 }

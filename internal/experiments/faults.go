@@ -132,6 +132,9 @@ func (spec FaultsSpec) withDefaults(cfg Config) (FaultsSpec, error) {
 			spec.MTBF, spec.MTTR)
 	}
 	spec.Sched = spec.Sched.withDefaults(cfg)
+	if err := spec.Sched.validate(); err != nil {
+		return spec, fmt.Errorf("faults: %w", err)
+	}
 	nodes := cfg.Options.Machine.Nodes()
 	var trunked []SchedScenario
 	for _, scen := range spec.Sched.Scenarios {

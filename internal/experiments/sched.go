@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -10,6 +11,7 @@ import (
 	"github.com/hpcperf/switchprobe/internal/model"
 	"github.com/hpcperf/switchprobe/internal/netsim"
 	"github.com/hpcperf/switchprobe/internal/sched"
+	"github.com/hpcperf/switchprobe/internal/sim"
 	"github.com/hpcperf/switchprobe/internal/stats"
 	"github.com/hpcperf/switchprobe/internal/telemetry"
 	"github.com/hpcperf/switchprobe/internal/workload"
@@ -153,6 +155,29 @@ func (spec SchedSpec) withDefaults(cfg Config) SchedSpec {
 	return spec
 }
 
+// Validate reports whether the spec's arrival process is usable once its
+// defaults are resolved against cfg: the mean gap must be finite and
+// non-negative (0 derives it from Load), and a stream of Jobs mean gaps must
+// fit in sim.Time.  Sched and Faults run it before any scenario.
+func (spec SchedSpec) Validate(cfg Config) error {
+	return spec.withDefaults(cfg).validate()
+}
+
+// validate is Validate on a resolved spec.
+func (spec SchedSpec) validate() error {
+	gap := spec.MeanInterarrivalMs
+	if math.IsNaN(gap) || math.IsInf(gap, 0) || gap < 0 {
+		return fmt.Errorf("sched: mean inter-arrival %v ms is not finite and non-negative (0 derives it from the offered load)", gap)
+	}
+	// math.MaxInt64 rounds to 2^63 as a float64: only a span strictly below
+	// it converts to a sim.Time without wrapping.
+	if span := float64(spec.Jobs) * gap * float64(sim.Millisecond); !(span < math.MaxInt64) {
+		return fmt.Errorf("sched: mean inter-arrival %v ms: a stream of %d jobs spans %g ms, beyond the virtual clock's %.4g ms",
+			gap, spec.Jobs, span/float64(sim.Millisecond), math.MaxInt64/float64(sim.Millisecond))
+	}
+	return nil
+}
+
 // SchedPolicyRow is one (scenario, policy) cell of the campaign, pooled
 // over the spec's arrival streams.
 type SchedPolicyRow struct {
@@ -266,6 +291,9 @@ func schedOversubscription(t netsim.Topology, nodes int) float64 {
 // Sched runs the scheduler campaign.
 func (s *Suite) Sched(spec SchedSpec) (SchedResult, error) {
 	spec = spec.withDefaults(s.cfg)
+	if err := spec.validate(); err != nil {
+		return SchedResult{}, err
+	}
 	for _, name := range spec.Apps {
 		if _, err := workload.ByName(name, s.cfg.Scale); err != nil {
 			return SchedResult{}, err

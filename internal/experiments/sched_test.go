@@ -2,6 +2,9 @@ package experiments_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	. "github.com/hpcperf/switchprobe/internal/experiments"
@@ -59,6 +62,22 @@ func TestSchedRejectsUnknownInputs(t *testing.T) {
 	}
 	if _, err := s.Sched(SchedSpec{Policies: []string{"greedy"}, Scenarios: []SchedScenario{{Label: "star"}}}); err == nil {
 		t.Fatal("expected error for unknown policy")
+	}
+	// Both campaigns reject a bad mean arrival gap before any scenario
+	// simulates, naming the value.
+	ResetSimUsage()
+	for _, gap := range []float64{math.NaN(), math.Inf(1), -1, 1e300} {
+		want := fmt.Sprintf("inter-arrival %v ms", gap)
+		spec := SchedSpec{MeanInterarrivalMs: gap}
+		if _, err := s.Sched(spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Sched with gap %v: want an error naming it, got %v", gap, err)
+		}
+		if _, err := s.Faults(FaultsSpec{Sched: spec}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Faults with gap %v: want an error naming it, got %v", gap, err)
+		}
+	}
+	if runs := SimUsage().Runs; runs != 0 {
+		t.Fatalf("%d simulation runs executed before the bad gaps were rejected", runs)
 	}
 }
 

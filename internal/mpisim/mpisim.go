@@ -274,6 +274,7 @@ func (w *World) LaunchProgram(p Program) {
 	for _, r := range w.ranks {
 		r := r
 		r.stepFn = r.step
+		r.coll.bind(r)
 		r.resumeK = func() { p(r, r.finish) }
 		k.PostAt(k.Now(), r.stepFn)
 	}
@@ -376,6 +377,8 @@ type Rank struct {
 	next     Cont
 	resumeK  Cont
 	waitReqs []*Request
+	// coll is the loop state of the collective the rank is running.
+	coll collFrame
 }
 
 // newRequest serves a request, preferring the rank's free list.

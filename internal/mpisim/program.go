@@ -7,7 +7,9 @@ import "github.com/hpcperf/switchprobe/internal/sim"
 // suspend a rank: they store the continuation in resumeK and arrange the
 // kernel event that resumes it, or — when the operation needs no wait — park
 // the continuation in the trampoline slot.  Everything above them (SendThen,
-// the collectives) is built from those three.
+// the collectives) is built from those three.  The rooted collectives and
+// the alltoall keep their loop state in the rank's collFrame, so the
+// collectives the campaigns run in every iteration allocate nothing.
 
 // Continue parks k as the rank's next trampoline step, running it after the
 // caller returns with a flat stack.  Structural no-op branches of a Program
@@ -155,6 +157,39 @@ func (r *Rank) BarrierThen(k Cont) {
 	r.next = loop
 }
 
+// collFrame is the loop state of the binomial-tree and alltoall collectives.
+// A rank runs one collective at a time, so one frame per rank, with its
+// continuations bound once at launch (bind), serves every BcastThen,
+// ReduceThen, AllreduceThen and AlltoallWindowedThen without allocating.
+type collFrame struct {
+	r *Rank
+	// k is the running collective's continuation; allreduceK holds an
+	// allreduce's continuation while its reduce half runs.
+	k, allreduceK Cont
+	// size is the payload size (per pair for the alltoall).
+	size int
+	// root, rel and mask are the binomial-tree state: the root, this rank's
+	// position relative to it and the tree level being walked.
+	root, rel, mask int
+	// step, window and inFlight are the alltoall state: the next shift to
+	// post, the bound on outstanding exchanges and the posted requests.
+	step, window int
+	inFlight     []*Request
+
+	// The frame's continuations, bound once per rank.
+	reduceFn, bcastRecvdFn, bcastSendFn, allreduceBcastFn, alltoallFn Cont
+}
+
+// bind points the frame at its rank and binds its continuations.
+func (f *collFrame) bind(r *Rank) {
+	f.r = r
+	f.reduceFn = f.reduceStep
+	f.bcastRecvdFn = f.bcastRecvd
+	f.bcastSendFn = f.bcastSend
+	f.allreduceBcastFn = f.allreduceBcast
+	f.alltoallFn = f.alltoallStep
+}
+
 // BcastThen broadcasts size bytes from root to every rank along a binomial
 // tree, then continues with k.
 func (r *Rank) BcastThen(root, size int, k Cont) {
@@ -168,37 +203,43 @@ func (r *Rank) bcastNoSeqThen(root, size int, k Cont) {
 		r.next = k
 		return
 	}
-	rel := (r.rank - root + n) % n
-	mask := 1
-	// send walks the remaining masks downward, sending to each subtree child;
-	// it is re-entered after every completed send.
-	var send Cont
-	send = func() {
-		for mask > 0 {
-			m := mask
-			mask >>= 1
-			if rel+m < n {
-				dst := (rel + m + root) % n
-				r.SendThen(dst, r.collTag(m), size, send)
-				return
-			}
-		}
-		r.next = k
-	}
-	for mask < n {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % n
-			tag := r.collTag(mask)
-			r.RecvThen(src, tag, func() {
-				mask >>= 1
-				send()
-			})
+	f := &r.coll
+	f.k, f.size, f.root = k, size, root
+	f.rel = (r.rank - root + n) % n
+	f.mask = 1
+	for f.mask < n {
+		if f.rel&f.mask != 0 {
+			src := (f.rel - f.mask + root) % n
+			r.RecvThen(src, r.collTag(f.mask), f.bcastRecvdFn)
 			return
 		}
-		mask <<= 1
+		f.mask <<= 1
 	}
-	mask >>= 1
-	send()
+	f.mask >>= 1
+	f.bcastSend()
+}
+
+// bcastRecvd continues a broadcast once the parent's payload arrived.
+func (f *collFrame) bcastRecvd() {
+	f.mask >>= 1
+	f.bcastSend()
+}
+
+// bcastSend walks the remaining masks downward, sending to each subtree
+// child; it is re-entered after every completed send.
+func (f *collFrame) bcastSend() {
+	r := f.r
+	n := r.Size()
+	for f.mask > 0 {
+		m := f.mask
+		f.mask >>= 1
+		if f.rel+m < n {
+			dst := (f.rel + m + f.root) % n
+			r.SendThen(dst, r.collTag(m), f.size, f.bcastSendFn)
+			return
+		}
+	}
+	r.next = f.k
 }
 
 // ReduceThen combines size bytes from every rank onto root along a binomial
@@ -214,38 +255,51 @@ func (r *Rank) reduceNoSeqThen(root, size int, k Cont) {
 		r.next = k
 		return
 	}
-	rel := (r.rank - root + n) % n
-	mask := 1
-	var loop Cont
-	loop = func() {
-		for mask < n {
-			m := mask
-			if rel&m == 0 {
-				src := rel | m
-				mask <<= 1
-				if src < n {
-					r.RecvThen((src+root)%n, r.collTag(m), loop)
-					return
-				}
-				continue
+	f := &r.coll
+	f.k, f.size, f.root = k, size, root
+	f.rel = (r.rank - root + n) % n
+	f.mask = 1
+	f.reduceStep()
+}
+
+// reduceStep receives from each child subtree in turn, then sends the
+// combined payload to the parent; it is re-entered after every receive.
+func (f *collFrame) reduceStep() {
+	r := f.r
+	n := r.Size()
+	for f.mask < n {
+		m := f.mask
+		if f.rel&m == 0 {
+			src := f.rel | m
+			f.mask <<= 1
+			if src < n {
+				r.RecvThen((src+f.root)%n, r.collTag(m), f.reduceFn)
+				return
 			}
-			dst := ((rel &^ m) + root) % n
-			r.SendThen(dst, r.collTag(m), size, k)
-			return
+			continue
 		}
-		r.next = k
+		dst := ((f.rel &^ m) + f.root) % n
+		r.SendThen(dst, r.collTag(m), f.size, f.k)
+		return
 	}
-	loop()
+	r.next = f.k
 }
 
 // AllreduceThen combines size bytes across all ranks and distributes the
 // result (a reduce to rank 0 followed by a broadcast), then continues with k.
 func (r *Rank) AllreduceThen(size int, k Cont) {
 	r.beginCollective()
-	r.reduceNoSeqThen(0, size, func() {
-		r.collSeq++
-		r.bcastNoSeqThen(0, size, k)
-	})
+	f := &r.coll
+	// The broadcast half reads size from the frame, which a no-op reduce
+	// (one rank, or nothing to send) leaves unset.
+	f.size, f.allreduceK = size, k
+	r.reduceNoSeqThen(0, size, f.allreduceBcastFn)
+}
+
+// allreduceBcast is an allreduce's second half, run once its reduce is done.
+func (f *collFrame) allreduceBcast() {
+	f.r.collSeq++
+	f.r.bcastNoSeqThen(0, f.size, f.allreduceK)
 }
 
 // AllgatherThen gathers sizePerRank bytes from every rank on every rank
@@ -296,26 +350,31 @@ func (r *Rank) AlltoallWindowedThen(sizePerRank, window int, k Cont) {
 	if window < 1 {
 		window = 1
 	}
-	var inFlight []*Request
-	step := 1
-	var loop Cont
-	loop = func() {
-		inFlight = inFlight[:0]
-		for step < n {
-			dst := (r.rank + step) % n
-			src := (r.rank - step + n) % n
-			inFlight = append(inFlight, r.Irecv(src, r.collTag(step)), r.Isend(dst, r.collTag(step), sizePerRank))
-			step++
-			if len(inFlight) >= 2*window {
-				r.WaitAllThen(loop, inFlight...)
-				return
-			}
-		}
-		if len(inFlight) > 0 {
-			r.WaitAllThen(k, inFlight...)
+	f := &r.coll
+	f.k, f.size, f.window, f.step = k, sizePerRank, window, 1
+	f.alltoallStep()
+}
+
+// alltoallStep posts shifts until the window is full and waits for them;
+// it is re-entered after every completed window.  WaitAllThen copies the
+// requests, so the next window reuses the inFlight buffer.
+func (f *collFrame) alltoallStep() {
+	r := f.r
+	n := r.Size()
+	f.inFlight = f.inFlight[:0]
+	for f.step < n {
+		dst := (r.rank + f.step) % n
+		src := (r.rank - f.step + n) % n
+		f.inFlight = append(f.inFlight, r.Irecv(src, r.collTag(f.step)), r.Isend(dst, r.collTag(f.step), f.size))
+		f.step++
+		if len(f.inFlight) >= 2*f.window {
+			r.WaitAllThen(f.alltoallFn, f.inFlight...)
 			return
 		}
-		r.next = k
 	}
-	loop()
+	if len(f.inFlight) > 0 {
+		r.WaitAllThen(f.k, f.inFlight...)
+		return
+	}
+	r.next = f.k
 }

@@ -60,16 +60,23 @@ type campaignResult struct {
 // runExerciseCampaign runs exerciseProgram on a fresh 4-node machine.
 func runExerciseCampaign(t *testing.T) campaignResult {
 	t.Helper()
+	return runProgramCampaign(t, 4, exerciseProgram)
+}
+
+// runProgramCampaign runs p on a fresh machine of the given node count with
+// two ranks per node (one per socket, node-major).
+func runProgramCampaign(t *testing.T, nodes int, p Program) campaignResult {
+	t.Helper()
 	k := sim.NewKernel(42)
 	cfg := cluster.CabConfig()
-	cfg.Net.Nodes = 4
+	cfg.Net.Nodes = nodes
 	m := cluster.MustNew(k, cfg)
-	job, err := m.AllocateSpread("prog", 1, 4)
+	job, err := m.AllocateSpread("prog", 1, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := MustNewWorld(m, job, DefaultConfig())
-	w.LaunchProgram(exerciseProgram)
+	w.LaunchProgram(p)
 	k.Run()
 	if !w.Done() {
 		t.Fatal("world did not complete")
@@ -207,5 +214,58 @@ func TestShutdownSuspendedRanks(t *testing.T) {
 	}
 	if k.Stats().EventsCancelled == 0 {
 		t.Fatal("Shutdown cancelled no events although ranks were suspended on timers")
+	}
+}
+
+// rootedProgram runs the rooted and windowed collectives on a world of any
+// size: a broadcast then a reduce from every root in turn (alternating an
+// eager and a rendezvous payload), the alltoall at window 1 and at window
+// n-1, and an allreduce.
+func rootedProgram(r *Rank, done Cont) {
+	n := r.Size()
+	root := 0
+	var roots Cont
+	roots = func() {
+		if root == n {
+			r.AlltoallWindowedThen(512, 1, func() {
+				r.AlltoallWindowedThen(24*1024, n-1, func() {
+					r.AllreduceThen(256, done)
+				})
+			})
+			return
+		}
+		size := 2048
+		if root%2 == 1 {
+			size = 32 * 1024
+		}
+		at := root
+		root++
+		r.BcastThen(at, size, func() { r.ReduceThen(at, size, roots) })
+	}
+	roots()
+}
+
+// TestRootedCollectivesGolden pins rootedProgram on six ranks over three
+// nodes — a non-power-of-two world, so the binomial trees are ragged and the
+// alltoall shift wraps unevenly — with the same counters as
+// TestExerciseProgramGolden.  The constants were captured while every
+// collective call still built its own loop closures; the per-rank frames
+// must reproduce them exactly.
+func TestRootedCollectivesGolden(t *testing.T) {
+	got := runProgramCampaign(t, 3, rootedProgram)
+	want := campaignResult{
+		completedAt: 245710,
+		world:       Stats{MessagesSent: 130, BytesSent: 1799680, Collectives: 90},
+		kernel: sim.Stats{
+			EventsScheduled: 695,
+			EventsFired:     161,
+			PoolReuses:      155,
+			FastPathEvents:  125,
+			EventsElided:    534,
+			ProcFastResumes: 57,
+		},
+	}
+	if got != want {
+		t.Fatalf("rooted collective schedule moved:\ngot  %+v\nwant %+v", got, want)
 	}
 }

@@ -184,12 +184,9 @@ func (p *Probe) run(r *mpisim.Rank, tasksPerNode, nodes int) {
 		// initiator's elapsed time covers two serialized one-way traversals
 		// and elapsed/2 is the one-way packet latency.
 		partner := (r.Rank() - tasksPerNode + size) % size
-		var loop mpisim.Cont
-		loop = func() {
-			r.RecvThen(partner, p.cfg.Tag, func() {
-				r.SendThen(partner, p.cfg.Tag, p.cfg.MessageBytes, loop)
-			})
-		}
+		var loop, reply mpisim.Cont
+		loop = func() { r.RecvThen(partner, p.cfg.Tag, reply) }
+		reply = func() { r.SendThen(partner, p.cfg.Tag, p.cfg.MessageBytes, loop) }
 		loop()
 	default:
 		// Unpaired node (odd node count): stay idle.

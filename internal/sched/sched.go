@@ -87,8 +87,8 @@ func (a ArrivalSpec) Generate() ([]JobSpec, error) {
 	if len(a.Mix) == 0 {
 		return nil, fmt.Errorf("sched: empty workload mix")
 	}
-	if a.MeanInterarrival <= 0 {
-		return nil, fmt.Errorf("sched: non-positive mean inter-arrival %v", a.MeanInterarrival)
+	if !(a.MeanInterarrival > 0) || math.IsInf(a.MeanInterarrival, 1) {
+		return nil, fmt.Errorf("sched: mean inter-arrival %v is not positive and finite", a.MeanInterarrival)
 	}
 	if a.MinIterations < 1 || a.MaxIterations < a.MinIterations {
 		return nil, fmt.Errorf("sched: invalid iteration range [%d, %d]", a.MinIterations, a.MaxIterations)

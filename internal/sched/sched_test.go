@@ -92,6 +92,10 @@ func TestArrivalSpecRejectsBadInput(t *testing.T) {
 		func(s *ArrivalSpec) { s.Jobs = 0 },
 		func(s *ArrivalSpec) { s.Mix = nil },
 		func(s *ArrivalSpec) { s.MeanInterarrival = 0 },
+		func(s *ArrivalSpec) { s.MeanInterarrival = -1 },
+		func(s *ArrivalSpec) { s.MeanInterarrival = math.NaN() },
+		func(s *ArrivalSpec) { s.MeanInterarrival = math.Inf(1) },
+		func(s *ArrivalSpec) { s.MeanInterarrival = math.Inf(-1) },
 		func(s *ArrivalSpec) { s.MinIterations = 0 },
 		func(s *ArrivalSpec) { s.MaxIterations = 0 },
 		func(s *ArrivalSpec) { s.TwoSlotFraction = 1.5 },

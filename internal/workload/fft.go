@@ -32,21 +32,27 @@ func (f *FFTW) Name() string { return "FFTW" }
 // Placement implements App: 4 ranks per socket on every node.
 func (f *FFTW) Placement(nodes int) (int, int) { return 4, nodes }
 
-// IterateThen implements App: transpose, local FFTs, transpose back, local
-// FFTs.
-func (f *FFTW) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
-	n := r.Size()
-	perPair := int(f.TotalBytes / float64(n) / float64(n))
+// Rank implements App: transpose, local FFTs, transpose back, local FFTs.
+func (f *FFTW) Rank(r *mpisim.Rank) Loop {
+	perPair := transposeBytes(f.TotalBytes, r.Size())
+	var k mpisim.Cont
+	fftBack := func() { r.ComputeThen(f.ComputePerPhase, k) }
+	back := func() { r.AlltoallThen(perPair, fftBack) }
+	fft := func() { r.ComputeThen(f.ComputePerPhase, back) }
+	return func(_ int, next mpisim.Cont) {
+		k = next
+		r.AlltoallThen(perPair, fft)
+	}
+}
+
+// transposeBytes is the per-pair alltoall size of a distributed transpose of
+// total bytes over n ranks.
+func transposeBytes(total float64, n int) int {
+	perPair := int(total / float64(n) / float64(n))
 	if perPair < 1 {
 		perPair = 1
 	}
-	r.AlltoallThen(perPair, func() {
-		r.ComputeThen(f.ComputePerPhase, func() {
-			r.AlltoallThen(perPair, func() {
-				r.ComputeThen(f.ComputePerPhase, k)
-			})
-		})
-	})
+	return perPair
 }
 
 // VPFFT models the elasto-viscoplastic crystal plasticity solver: like FFTW
@@ -84,27 +90,26 @@ func (v *VPFFT) Name() string { return "VPFFT" }
 // Placement implements App: 4 ranks per socket on every node.
 func (v *VPFFT) Placement(nodes int) (int, int) { return 4, nodes }
 
-// IterateThen implements App.
-func (v *VPFFT) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
-	n := r.Size()
-	perPair := int(v.TotalBytes / float64(n) / float64(n))
-	if perPair < 1 {
-		perPair = 1
+// Rank implements App: transpose, constitutive update, transpose back,
+// constitutive update, convergence reduction.
+func (v *VPFFT) Rank(r *mpisim.Rank) Loop {
+	perPair := transposeBytes(v.TotalBytes, r.Size())
+	var (
+		k       mpisim.Cont
+		compute sim.Duration
+	)
+	reduce := func() { r.AllreduceThen(v.ConvergenceBytes, k) }
+	second := func() { r.ComputeThen(compute, reduce) }
+	back := func() { r.AlltoallThen(perPair, second) }
+	first := func() { r.ComputeThen(compute, back) }
+	return func(iter int, next mpisim.Cont) {
+		k = next
+		// Iteration-dependent compute factor in [1-spread, 1+spread]; the
+		// pattern is deterministic and identical on all ranks so the
+		// bulk-synchronous structure is preserved.
+		phase := float64((iter*2654435761)%1000) / 1000.0
+		factor := 1 + v.ComputeSpread*(2*phase-1)
+		compute = sim.Duration(float64(v.ComputePerPhase) * factor)
+		r.AlltoallThen(perPair, first)
 	}
-	// Iteration-dependent compute factor in [1-spread, 1+spread]; the pattern
-	// is deterministic and identical on all ranks so the bulk-synchronous
-	// structure is preserved.
-	phase := float64((iter*2654435761)%1000) / 1000.0
-	factor := 1 + v.ComputeSpread*(2*phase-1)
-	compute := sim.Duration(float64(v.ComputePerPhase) * factor)
-
-	r.AlltoallThen(perPair, func() {
-		r.ComputeThen(compute, func() {
-			r.AlltoallThen(perPair, func() {
-				r.ComputeThen(compute, func() {
-					r.AllreduceThen(v.ConvergenceBytes, k)
-				})
-			})
-		})
-	})
 }

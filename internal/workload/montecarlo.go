@@ -43,30 +43,36 @@ func (m *MCB) Name() string { return "MCB" }
 // Placement implements App: 4 ranks per socket on every node.
 func (m *MCB) Placement(nodes int) (int, int) { return 4, nodes }
 
-// IterateThen implements App.
-func (m *MCB) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
+// Rank implements App: a long tracking phase, particle migration with the
+// two ring neighbors, and every CensusInterval iterations a census burst with
+// the 2-D grid neighbors plus a tally reduction.
+func (m *MCB) Rank(r *mpisim.Rank) Loop {
 	n := r.Size()
-	// Periodic census: a burst of larger exchanges plus a tally reduction.
+	ring := newHalo(r, []int{(r.Rank() + 1) % n, (r.Rank() - 1 + n) % n})
+	burst := newHalo(r, gridNeighbors(r.Rank(), n, 2))
+	var (
+		k    mpisim.Cont
+		iter int
+	)
+	tally := func() { r.AllreduceThen(m.CensusReduceBytes, k) }
 	census := func() {
 		if m.CensusInterval > 0 && (iter+1)%m.CensusInterval == 0 && n > 1 {
-			burst := gridNeighbors(r.Rank(), n, 2)
-			haloExchangeThen(r, burst, m.CensusBytes, 600, func() {
-				r.AllreduceThen(m.CensusReduceBytes, k)
-			})
+			burst.exchangeThen(m.CensusBytes, 600, tally)
 			return
 		}
 		r.Continue(k)
 	}
-	// Long tracking phase, then particle migration with the two ring
-	// neighbors.
-	r.ComputeThen(m.TrackingCompute, func() {
+	migrate := func() {
 		if n > 1 {
-			neighbors := []int{(r.Rank() + 1) % n, (r.Rank() - 1 + n) % n}
-			haloExchangeThen(r, neighbors, m.MigrationBytes, 500, census)
+			ring.exchangeThen(m.MigrationBytes, 500, census)
 			return
 		}
 		census()
-	})
+	}
+	return func(i int, next mpisim.Cont) {
+		iter, k = i, next
+		r.ComputeThen(m.TrackingCompute, migrate)
+	}
 }
 
 // AMG models the algebraic multigrid solver from hypre: every iteration is a
@@ -112,39 +118,38 @@ func (a *AMG) Name() string { return "AMG" }
 // Placement implements App: 4 ranks per socket on every node.
 func (a *AMG) Placement(nodes int) (int, int) { return 4, nodes }
 
-// IterateThen implements App: one V-cycle, occasionally followed by a dense
-// phase.
-func (a *AMG) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
-	neighbors := gridNeighbors(r.Rank(), r.Size(), 3)
-	halo := a.FineHaloBytes
-	compute := a.FineCompute
-	level := 0
-	upLevel := 0
-	var down, exchanged, coarse, up mpisim.Cont
-	// Down-sweep: smoother compute plus a halo exchange per level.
+// Rank implements App: one V-cycle, occasionally followed by a dense phase.
+func (a *AMG) Rank(r *mpisim.Rank) Loop {
+	h := newHalo(r, gridNeighbors(r.Rank(), r.Size(), 3))
+	var (
+		k                        mpisim.Cont
+		iter, level, upLevel     int
+		halo                     int
+		compute                  sim.Duration
+		down, exchange, smoothed mpisim.Cont
+		coarse, solved, up       mpisim.Cont
+	)
+	// Down-sweep: smoother compute plus a halo exchange per level, then the
+	// coarsest level's compute.
 	down = func() {
 		if level >= a.Levels {
-			coarse()
+			r.ComputeThen(compute, coarse)
 			return
 		}
-		r.ComputeThen(compute, exchanged)
+		r.ComputeThen(compute, exchange)
 	}
-	exchanged = func() {
-		haloExchangeThen(r, neighbors, maxInt(halo, 1), 700+level, func() {
-			halo /= 2
-			compute /= 2
-			level++
-			down()
-		})
+	exchange = func() { h.exchangeThen(maxInt(halo, 1), 700+level, smoothed) }
+	smoothed = func() {
+		halo /= 2
+		compute /= 2
+		level++
+		down()
 	}
-	// Coarsest solve.
-	coarse = func() {
-		r.ComputeThen(compute, func() {
-			r.AllreduceThen(a.CoarseReduceBytes, func() {
-				upLevel = a.Levels - 1
-				up()
-			})
-		})
+	// Coarsest solve: a small all-reduce, then the up-sweep.
+	coarse = func() { r.AllreduceThen(a.CoarseReduceBytes, solved) }
+	solved = func() {
+		upLevel = a.Levels - 1
+		up()
 	}
 	// Up-sweep: the interpolation transfers overlap with the smoother, so the
 	// up-sweep contributes computation but no blocking halo exchanges; then
@@ -162,7 +167,12 @@ func (a *AMG) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
 		upLevel--
 		r.ComputeThen(compute, up)
 	}
-	down()
+	return func(i int, next mpisim.Cont) {
+		iter, k = i, next
+		halo, compute = a.FineHaloBytes, a.FineCompute
+		level, upLevel = 0, 0
+		down()
+	}
 }
 
 func maxInt(a, b int) int {

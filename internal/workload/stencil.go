@@ -47,18 +47,19 @@ func (l *Lulesh) Placement(nodes int) (int, int) {
 	return 2, use
 }
 
-// IterateThen implements App.
-func (l *Lulesh) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
-	neighbors := gridNeighbors(r.Rank(), r.Size(), 3)
-	haloExchangeThen(r, neighbors, l.HaloBytes, 100, func() {
-		r.ComputeThen(l.ComputePerPhase, func() {
-			haloExchangeThen(r, neighbors, l.ForceHaloBytes, 200, func() {
-				r.ComputeThen(l.ComputePerPhase, func() {
-					r.AllreduceThen(l.ReduceBytes, k)
-				})
-			})
-		})
-	})
+// Rank implements App: a face halo exchange, the element update, the nodal
+// force exchange, the nodal update and the time-step reduction.
+func (l *Lulesh) Rank(r *mpisim.Rank) Loop {
+	h := newHalo(r, gridNeighbors(r.Rank(), r.Size(), 3))
+	var k mpisim.Cont
+	reduce := func() { r.AllreduceThen(l.ReduceBytes, k) }
+	nodal := func() { r.ComputeThen(l.ComputePerPhase, reduce) }
+	force := func() { h.exchangeThen(l.ForceHaloBytes, 200, nodal) }
+	elements := func() { r.ComputeThen(l.ComputePerPhase, force) }
+	return func(_ int, next mpisim.Cont) {
+		k = next
+		h.exchangeThen(l.HaloBytes, 100, elements)
+	}
 }
 
 // MILC models the MIMD Lattice Computation conjugate-gradient solver
@@ -93,17 +94,16 @@ func (m *MILC) Name() string { return "MILC" }
 // Placement implements App: 4 ranks per socket on every node.
 func (m *MILC) Placement(nodes int) (int, int) { return 4, nodes }
 
-// IterateThen implements App: two Dslash halo exchanges plus the CG
-// reduction.
-func (m *MILC) IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont) {
-	neighbors := gridNeighbors(r.Rank(), r.Size(), 4)
-	haloExchangeThen(r, neighbors, m.HaloBytes, 300, func() {
-		r.ComputeThen(m.ComputePerPhase, func() {
-			haloExchangeThen(r, neighbors, m.HaloBytes, 400, func() {
-				r.ComputeThen(m.ComputePerPhase, func() {
-					r.AllreduceThen(m.ReduceBytes, k)
-				})
-			})
-		})
-	})
+// Rank implements App: two Dslash halo exchanges plus the CG reduction.
+func (m *MILC) Rank(r *mpisim.Rank) Loop {
+	h := newHalo(r, gridNeighbors(r.Rank(), r.Size(), 4))
+	var k mpisim.Cont
+	reduce := func() { r.AllreduceThen(m.ReduceBytes, k) }
+	second := func() { r.ComputeThen(m.ComputePerPhase, reduce) }
+	exchange := func() { h.exchangeThen(m.HaloBytes, 400, second) }
+	first := func() { r.ComputeThen(m.ComputePerPhase, exchange) }
+	return func(_ int, next mpisim.Cont) {
+		k = next
+		h.exchangeThen(m.HaloBytes, 300, first)
+	}
 }

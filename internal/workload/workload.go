@@ -36,6 +36,12 @@ import (
 // App is one application model.  One outer iteration is executed by every
 // rank in a loop; the measurement harness times iterations to obtain the
 // application's performance under different network conditions.
+//
+// An App value is shared: the registry hands the same value to every world
+// that runs the application, and campaigns run worlds concurrently.  Rank
+// therefore only reads the App's fields; everything that belongs to one rank
+// (neighbour lists, request buffers, the iteration's loop variables) lives in
+// the Loop it returns.
 type App interface {
 	// Name is the application's short name (e.g. "FFTW").
 	Name() string
@@ -43,12 +49,19 @@ type App interface {
 	// application given the number of nodes attached to the switch:
 	// ranks-per-socket and how many of the nodes to use.
 	Placement(nodes int) (ranksPerSocket, useNodes int)
-	// IterateThen runs one outer iteration of the application on rank r in
-	// continuation-passing style, continuing with k when the iteration
-	// completes.  iter is the iteration index (some applications change
-	// behaviour across iterations, e.g. AMG's phases).
-	IterateThen(r *mpisim.Rank, iter int, k mpisim.Cont)
+	// Rank binds the application to rank r, once per rank at launch: it
+	// computes the rank's fixed communication structure and builds the
+	// continuation chain of one iteration over per-rank variables, so
+	// running an iteration allocates nothing.
+	Rank(r *mpisim.Rank) Loop
 }
+
+// Loop runs one outer iteration of an application on the rank it was bound
+// to in continuation-passing style, continuing with k when the iteration
+// completes.  iter is the iteration index (some applications change
+// behaviour across iterations, e.g. AMG's phases).  A Loop runs one
+// iteration at a time: call it again only from k.
+type Loop func(iter int, k mpisim.Cont)
 
 // Scale adjusts problem sizes so the models can run at paper scale or at a
 // reduced test scale.
@@ -135,18 +148,31 @@ func ByName(name string, s Scale) (App, error) {
 
 // --- shared communication building blocks ----------------------------------
 
-// haloExchangeThen posts non-blocking sends and receives of size bytes with
+// halo is one rank's neighbour exchange, bound once per rank: the neighbour
+// list and the request buffer every exchange reuses (WaitAllThen copies the
+// requests, so the buffer is free again as soon as it returns).
+type halo struct {
+	r         *mpisim.Rank
+	neighbors []int
+	reqs      []*mpisim.Request
+}
+
+func newHalo(r *mpisim.Rank, neighbors []int) *halo {
+	return &halo{r: r, neighbors: neighbors, reqs: make([]*mpisim.Request, 0, 2*len(neighbors))}
+}
+
+// exchangeThen posts non-blocking sends and receives of size bytes with
 // every neighbor and waits for all of them, then continues with k — the
-// standard stencil boundary exchange.  All messages of one exchange share the
-// same tag and are disambiguated by their source rank, so the two sides of
-// each pair need not enumerate their neighbors in the same order.
-func haloExchangeThen(r *mpisim.Rank, neighbors []int, size, tag int, k mpisim.Cont) {
-	reqs := make([]*mpisim.Request, 0, 2*len(neighbors))
-	for _, nb := range neighbors {
-		reqs = append(reqs, r.Irecv(nb, tag))
-		reqs = append(reqs, r.Isend(nb, tag, size))
+// standard stencil boundary exchange.  All messages of one exchange share
+// the same tag and are disambiguated by their source rank, so the two sides
+// of each pair need not enumerate their neighbors in the same order.
+func (h *halo) exchangeThen(size, tag int, k mpisim.Cont) {
+	reqs := h.reqs[:0]
+	for _, nb := range h.neighbors {
+		reqs = append(reqs, h.r.Irecv(nb, tag))
+		reqs = append(reqs, h.r.Isend(nb, tag, size))
 	}
-	r.WaitAllThen(k, reqs...)
+	h.r.WaitAllThen(k, reqs...)
 }
 
 // gridNeighbors returns the 2*dims neighbors of rank in a periodic Cartesian

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -9,10 +10,21 @@ import (
 	"github.com/hpcperf/switchprobe/internal/sim"
 )
 
+// appResult is what one runApp measured.
+type appResult struct {
+	// elapsed is the virtual completion time of the last rank.
+	elapsed sim.Duration
+	// bytes is the traffic the application pushed through the switch.
+	bytes int64
+	// world and kernel are the run's message-passing and kernel counters.
+	world  mpisim.Stats
+	kernel sim.Stats
+}
+
 // runApp executes iters iterations of app on a small machine and returns the
-// virtual completion time and the bytes its traffic pushed through the
-// switch.
-func runApp(t testing.TB, app App, nodes, iters int) (sim.Duration, int64) {
+// virtual completion time, the bytes its traffic pushed through the switch
+// and the run's counters.
+func runApp(t testing.TB, app App, nodes, iters int) appResult {
 	t.Helper()
 	k := sim.NewKernel(42)
 	cfg := cluster.CabConfig()
@@ -33,23 +45,29 @@ func runApp(t testing.TB, app App, nodes, iters int) (sim.Duration, int64) {
 		t.Fatalf("%s did not finish", app.Name())
 	}
 	at, _ := w.CompletionTime()
-	return sim.Duration(at), m.Network().Stats().BytesByClass[app.Name()]
+	return appResult{
+		elapsed: sim.Duration(at),
+		bytes:   m.Network().Stats().BytesByClass[app.Name()],
+		world:   w.Stats(),
+		kernel:  k.Stats(),
+	}
 }
 
 // iterations is the Program that runs iters iterations of app on every rank.
 func iterations(app App, iters int) mpisim.Program {
 	return func(r *mpisim.Rank, done mpisim.Cont) {
+		loop := app.Rank(r)
 		i := 0
-		var loop mpisim.Cont
-		loop = func() {
+		var next mpisim.Cont
+		next = func() {
 			if i == iters {
 				r.Continue(done)
 				return
 			}
 			i++
-			app.IterateThen(r, i-1, loop)
+			loop(i-1, next)
 		}
-		loop()
+		next()
 	}
 }
 
@@ -232,11 +250,11 @@ func TestEveryAppRunsToCompletion(t *testing.T) {
 	for _, app := range Registry(Reduced(0.1)) {
 		app := app
 		t.Run(app.Name(), func(t *testing.T) {
-			elapsed, bytes := runApp(t, app, 4, 3)
-			if elapsed <= 0 {
+			res := runApp(t, app, 4, 3)
+			if res.elapsed <= 0 {
 				t.Fatalf("%s: non-positive elapsed time", app.Name())
 			}
-			if bytes <= 0 {
+			if res.bytes <= 0 {
 				t.Fatalf("%s: no switch traffic at all", app.Name())
 			}
 		})
@@ -250,10 +268,10 @@ func TestCommunicationIntensityOrdering(t *testing.T) {
 	// FFTW must push far more bytes through the switch per unit of runtime
 	// than MCB; this ordering is what drives the paper's Figure 7.
 	scale := Reduced(0.1)
-	elapsedFFTW, bytesFFTW := runApp(t, NewFFTW(scale), 4, 3)
-	elapsedMCB, bytesMCB := runApp(t, NewMCB(scale), 4, 3)
-	rateFFTW := float64(bytesFFTW) / elapsedFFTW.Seconds()
-	rateMCB := float64(bytesMCB) / elapsedMCB.Seconds()
+	fftw := runApp(t, NewFFTW(scale), 4, 3)
+	mcb := runApp(t, NewMCB(scale), 4, 3)
+	rateFFTW := float64(fftw.bytes) / fftw.elapsed.Seconds()
+	rateMCB := float64(mcb.bytes) / mcb.elapsed.Seconds()
 	if rateFFTW < 5*rateMCB {
 		t.Fatalf("FFTW switch-byte rate (%.3g B/s) not clearly above MCB (%.3g B/s)", rateFFTW, rateMCB)
 	}
@@ -266,8 +284,8 @@ func TestVPFFTComputeVariesAcrossIterations(t *testing.T) {
 	// Run two different iteration counts and check per-iteration time is not
 	// constant (the oscillation the paper reports for VPFFT).
 	app := NewVPFFT(Reduced(0.1))
-	e3, _ := runApp(t, app, 2, 3)
-	e6, _ := runApp(t, app, 2, 6)
+	e3 := runApp(t, app, 2, 3).elapsed
+	e6 := runApp(t, app, 2, 6).elapsed
 	perIterFirst := float64(e3) / 3
 	perIterSecond := float64(e6-e3) / 3
 	if perIterFirst == perIterSecond {
@@ -286,8 +304,8 @@ func TestAMGDensePhase(t *testing.T) {
 	base.DensePhaseInterval = 0
 	dense := NewAMG(scale)
 	dense.DensePhaseInterval = 1
-	eBase, _ := runApp(t, base, 2, 4)
-	eDense, _ := runApp(t, dense, 2, 4)
+	eBase := runApp(t, base, 2, 4).elapsed
+	eDense := runApp(t, dense, 2, 4).elapsed
 	if eDense <= eBase {
 		t.Fatalf("dense phases should lengthen iterations: base=%v dense=%v", eBase, eDense)
 	}
@@ -297,8 +315,8 @@ func TestScaleReducesTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application runs are slow in -short mode")
 	}
-	_, big := runApp(t, NewMILC(Reduced(0.5)), 2, 2)
-	_, small := runApp(t, NewMILC(Reduced(0.05)), 2, 2)
+	big := runApp(t, NewMILC(Reduced(0.5)), 2, 2).bytes
+	small := runApp(t, NewMILC(Reduced(0.05)), 2, 2).bytes
 	if small >= big {
 		t.Fatalf("reduced scale should reduce traffic: %d vs %d", small, big)
 	}
@@ -318,4 +336,56 @@ func BenchmarkFFTWIteration(b *testing.B) {
 	w.LaunchProgram(iterations(app, b.N))
 	b.ResetTimer()
 	k.Run()
+}
+
+// TestIterationsDoNotAllocate pins the steady state of every application
+// model as allocation-free: once four warm-up iterations have filled the
+// runtime's pools, eight more iterations may allocate only a fraction of an
+// object per rank-iteration (pool and queue growth at a new high-water
+// mark).  Rebuilding neighbour lists, request slices or continuations per
+// iteration costs tens of objects per rank-iteration.
+func TestIterationsDoNotAllocate(t *testing.T) {
+	const (
+		nodes = 4
+		warm  = 4
+		extra = 8
+		bound = 0.5 // objects per rank-iteration
+	)
+	for _, app := range Registry(Reduced(0.1)) {
+		rps, use := app.Placement(nodes)
+		ranks := rps * cluster.CabConfig().SocketsPerNode * use
+		base := testing.AllocsPerRun(1, func() { runApp(t, app, nodes, warm) })
+		more := testing.AllocsPerRun(1, func() { runApp(t, app, nodes, warm+extra) })
+		perRankIter := (more - base) / float64(extra*ranks)
+		t.Logf("%s: %.3f objects per rank-iteration (%v over %d rank-iterations)", app.Name(), perRankIter, more-base, extra*ranks)
+		if perRankIter > bound {
+			t.Errorf("%s allocates %.2f objects per rank-iteration after warm-up, want <= %v", app.Name(), perRankIter, bound)
+		}
+	}
+}
+
+// TestSharedAppAcrossWorlds runs one App value in two worlds on two
+// goroutines at once, the way engine.Parallel runs registry apps carried by
+// concurrent specs.  Both runs must reproduce the serial run's schedule, and
+// under -race any per-rank state written to the shared App value is a
+// reported data race.
+func TestSharedAppAcrossWorlds(t *testing.T) {
+	for _, app := range Registry(Reduced(0.1)) {
+		want := runApp(t, app, 4, 4)
+		var got [2]appResult
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = runApp(t, app, 4, 4)
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != want {
+				t.Errorf("%s: concurrent run %d moved the schedule:\ngot  %+v\nwant %+v", app.Name(), i, g, want)
+			}
+		}
+	}
 }

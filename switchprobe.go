@@ -184,7 +184,11 @@ func DegradationPercent(baseline, observed Runtime) float64 {
 
 // --- workloads ----------------------------------------------------------------
 
-// App is an application model that can be measured and co-scheduled.
+// App is an application model that can be measured and co-scheduled.  One
+// App value is shared by every world that runs it, and campaigns run worlds
+// concurrently, so an implementation's Rank method binds the application to
+// one rank at launch and keeps everything per-rank (neighbour lists, request
+// buffers, loop variables) in the Loop it returns, never on the App.
 type App = workload.App
 
 // Scale adjusts application problem sizes.
