@@ -7,7 +7,7 @@
 //	swpredict -target FFTW -corunner Lulesh [-preset ci|default|paper]
 //	          [-seed N] [-validate] [-topology star|fattree] [-leaves N]
 //	          [-uplinks N] [-placement pack|spread|random]
-//	          [-workers N] [-strict-order]
+//	          [-strict-order]
 //	          [-cache-dir DIR] [-no-cache]
 //	          [-fault-plan EVENTS] [-mtbf DUR -mttr DUR]
 //
@@ -59,15 +59,11 @@ func run(args []string) error {
 	placement := fs.String("placement", "pack", "application placement across leaves: pack, spread or random")
 	cacheDir := fs.String("cache-dir", "", "directory of the persistent artifact cache (empty = in-memory only)")
 	noCache := fs.Bool("no-cache", false, "disable the persistent artifact cache even when -cache-dir is set")
-	workers := fs.Int("workers", 0, "relaxed mode: worker goroutines for leaf-parallel advance windows (0/1 = sequential; the schedule is identical for every value)")
 	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (changes run fingerprints and cache keys)")
 	faultPlanStr := fs.String("fault-plan", "", "inject an explicit fault schedule into every run: comma-separated kind:trunk@offset[:factor] events (e.g. down:leaf0.up0@2ms,up:leaf0.up0@7ms)")
 	mtbf := fs.Duration("mtbf", 0, "mean virtual time between generated trunk failures (set together with -mttr)")
 	mttr := fs.Duration("mttr", 0, "mean virtual trunk repair time (set together with -mtbf)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := cliflags.ValidateExec(*workers, *strictOrder); err != nil {
 		return err
 	}
 	faultPlan, _, err := cliflags.ParseFaultFlags(*faultPlanStr, *mtbf, *mttr)
@@ -81,7 +77,6 @@ func run(args []string) error {
 		return err
 	}
 	cfg.Options.Machine.Net.StrictOrder = *strictOrder
-	cfg.Options.Machine.Net.Workers = *workers
 	topo, err := netsim.ParseTopology(*topology, *leaves, *uplinks)
 	if err != nil {
 		return err

@@ -26,12 +26,12 @@ func TestRunRejectsUnknownApplications(t *testing.T) {
 	}
 }
 
+// TestRunValidatesExecutionFlags: -workers is not a flag; each simulation
+// runs on one goroutine.
 func TestRunValidatesExecutionFlags(t *testing.T) {
-	if err := run([]string{"-preset", "ci", "-workers", "-2"}); err == nil {
-		t.Fatal("expected error for negative -workers")
-	}
-	if err := run([]string{"-preset", "ci", "-workers", "2", "-strict-order"}); err == nil {
-		t.Fatal("expected error for -workers combined with -strict-order")
+	err := run([]string{"-preset", "ci", "-workers", "2"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -workers") {
+		t.Fatalf("-workers should be an unknown flag, got %v", err)
 	}
 }
 

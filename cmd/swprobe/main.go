@@ -6,7 +6,7 @@
 //
 //	swprobe -exp fig3|fig6|fig7|table1|fig8|fig9|all|xswitch|sched|faults [-preset paper|default|ci]
 //	        [-seed N] [-parallel N] [-csv DIR]
-//	        [-workers N] [-strict-order]
+//	        [-strict-order]
 //	        [-cache-dir DIR] [-no-cache]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	        [-blockprofile FILE] [-mutexprofile FILE]
@@ -36,9 +36,9 @@
 // xswitch campaign additionally sweeps the fat-tree's oversubscription and
 // compares packed vs. spread placement.
 //
-// -workers lets the relaxed engine execute independent leaf domains on that
-// many goroutines; the simulated schedule is byte-identical for every value,
-// so the flag is pure wall-clock. -strict-order instead selects the strict
+// -parallel caps how many simulation runs execute at once; each run is one
+// goroutine driving its own kernel, ranks and network, so the output is
+// byte-identical for every value.  -strict-order selects the strict
 // golden-oracle event ordering (slower, byte-identical to pre-relaxed
 // releases); it changes run fingerprints and therefore cache keys.
 //
@@ -121,7 +121,6 @@ func run(args []string, out *os.File) error {
 	policies := fs.String("policy", "all", "sched: comma-separated placement policies or all ("+strings.Join(sched.PolicyNames(), ", ")+")")
 	jobs := fs.Int("jobs", 0, "sched: arrival-stream length (0 = campaign default)")
 	arrivals := fs.Float64("arrivals", 0, "sched: mean job inter-arrival gap in virtual ms (0 = derive from load)")
-	workers := fs.Int("workers", 0, "relaxed mode: worker goroutines for leaf-parallel advance windows (0/1 = sequential; the schedule is identical for every value)")
 	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (changes run fingerprints and cache keys)")
 	faultPlanStr := fs.String("fault-plan", "", "faults: explicit fault schedule, comma-separated kind:trunk@offset[:factor] events (e.g. down:leaf0.up0@2ms,up:leaf0.up0@7ms,degrade:leaf1.up0@1ms:2)")
 	mtbf := fs.Duration("mtbf", 0, "faults: mean virtual time between generated trunk failures (set together with -mttr)")
@@ -132,8 +131,8 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := cliflags.ValidateExec(*workers, *strictOrder); err != nil {
-		return err
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", *parallel)
 	}
 	faultPlan, faultFlagsSet, err := cliflags.ParseFaultFlags(*faultPlanStr, *mtbf, *mttr)
 	if err != nil {
@@ -158,7 +157,6 @@ func run(args []string, out *os.File) error {
 	}
 	cfg.Parallelism = *parallel
 	cfg.Options.Machine.Net.StrictOrder = *strictOrder
-	cfg.Options.Machine.Net.Workers = *workers
 	topo, err := netsim.ParseTopology(*topology, *leaves, *uplinks)
 	if err != nil {
 		return err
@@ -193,6 +191,14 @@ func run(args []string, out *os.File) error {
 			}
 			f.Close()
 		}()
+	}
+
+	// Create the CSV directory now, so a bad path fails before any
+	// experiment spends simulation time rather than after the first one.
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return fmt.Errorf("-csv: %w", err)
+		}
 	}
 
 	eng, err := engine.Open(*cacheDir, *noCache)
@@ -254,7 +260,7 @@ func run(args []string, out *os.File) error {
 	}
 	// Reject a bad arrival stream before any experiment runs.
 	if err := schedSpec.Validate(cfg); err != nil {
-		return err
+		return fmt.Errorf("-jobs/-arrivals: %w", err)
 	}
 	faultsSpec := experiments.FaultsSpec{
 		Sched: schedSpec,
@@ -480,11 +486,9 @@ func xswitchSummary(r experiments.XSwitchResult) string {
 	return fmt.Sprintf("At %.1f:1 oversubscription, %s degrades %.1f%% when both jobs are packed on their own leaves\nand %.1f%% when both are spread across every leaf.\n", oversub, r.Target, pack, spread)
 }
 
-// writeCSV writes one experiment's table into dir/<name>.csv.
+// writeCSV writes one experiment's table into dir/<name>.csv; run creates
+// dir before the first experiment.
 func writeCSV(dir, name string, tbl report.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	f, err := os.Create(filepath.Join(dir, name+".csv"))
 	if err != nil {
 		return err

@@ -83,9 +83,23 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(string(data), "a,b\n1,2") {
 		t.Fatalf("csv content = %q", data)
 	}
-	// Nested directory creation.
-	if err := writeCSV(filepath.Join(dir, "x", "y"), "demo", tbl); err != nil {
+}
+
+// TestRunCreatesCSVDirUpfront: run creates the -csv directory before any
+// experiment, so a path that cannot be a directory fails naming -csv before
+// any simulation time is spent, not after the first table is printed.
+func TestRunCreatesCSVDirUpfront(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	experiments.ResetSimUsage()
+	err := run([]string{"-preset", "ci", "-exp", "fig3", "-csv", file}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "-csv") {
+		t.Fatalf("-csv on a regular file: want an error naming -csv, got %v", err)
+	}
+	if runs := experiments.SimUsage().Runs; runs != 0 {
+		t.Fatalf("%d simulation runs executed before the bad -csv was rejected", runs)
 	}
 }
 
@@ -183,7 +197,7 @@ func TestRunFig6EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	csvDir := t.TempDir()
+	csvDir := filepath.Join(t.TempDir(), "x", "y") // run creates nested dirs
 	if err := run([]string{"-preset", "ci", "-exp", "fig6", "-seed", "3", "-csv", csvDir}, out); err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +242,18 @@ func TestRunValidatesSchedFlags(t *testing.T) {
 			}
 		}
 	}
+	// A negative job count is rejected before Fig. 3 simulates anything, not
+	// by the scheduler after the earlier experiments have run and printed.
+	for _, exp := range []string{"fig3,sched", "fig3,faults"} {
+		experiments.ResetSimUsage()
+		err := run([]string{"-preset", "ci", "-exp", exp, "-jobs", "-3"}, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "-jobs") || !strings.Contains(err.Error(), "-3") {
+			t.Errorf("-exp %s -jobs -3: want an error naming -jobs and -3, got %v", exp, err)
+		}
+		if runs := experiments.SimUsage().Runs; runs != 0 {
+			t.Errorf("-exp %s -jobs -3: %d simulation runs executed before the rejection", exp, runs)
+		}
+	}
 }
 
 // TestRunSchedEndToEnd runs the scheduler campaign through the CLI on the
@@ -264,21 +290,33 @@ func TestRunSchedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunValidatesExecutionFlags: -workers is not a flag; each simulation
+// runs on one goroutine, and -parallel is the one concurrency flag.
 func TestRunValidatesExecutionFlags(t *testing.T) {
-	err := run([]string{"-preset", "ci", "-exp", "fig3", "-workers", "-1"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "-workers") {
-		t.Fatalf("negative -workers should be rejected upfront: %v", err)
-	}
-	err = run([]string{"-preset", "ci", "-exp", "fig3", "-workers", "4", "-strict-order"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "strict-order") {
-		t.Fatalf("-workers with -strict-order should be rejected upfront: %v", err)
+	err := run([]string{"-preset", "ci", "-exp", "fig3", "-workers", "2"}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -workers") {
+		t.Fatalf("-workers should be an unknown flag, got %v", err)
 	}
 }
 
-// TestRunWorkersByteIdenticalCLI runs the same campaign sequentially and with
-// leaf-parallel workers and requires byte-identical CSV output: Workers is
-// pure wall-clock, never a model input.
-func TestRunWorkersByteIdenticalCLI(t *testing.T) {
+// TestRunRejectsNegativeParallel: a negative -parallel is rejected before
+// anything simulates rather than read as "all CPUs".
+func TestRunRejectsNegativeParallel(t *testing.T) {
+	experiments.ResetSimUsage()
+	err := run([]string{"-preset", "ci", "-exp", "fig3", "-parallel", "-1"}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "-parallel") || !strings.Contains(err.Error(), "-1") {
+		t.Fatalf("-parallel -1: want an error naming -parallel and -1, got %v", err)
+	}
+	if runs := experiments.SimUsage().Runs; runs != 0 {
+		t.Fatalf("-parallel -1: %d simulation runs executed before the rejection", runs)
+	}
+}
+
+// TestRunParallelByteIdenticalCLI runs the same fat-tree campaign on one
+// campaign worker and on four and requires byte-identical CSV output: every
+// simulation runs on its own goroutine, so -parallel is pure wall-clock,
+// never a model input.
+func TestRunParallelByteIdenticalCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end CLI runs are slow; skipped in -short mode")
 	}
@@ -303,26 +341,25 @@ func TestRunWorkersByteIdenticalCLI(t *testing.T) {
 		}
 		return string(blob)
 	}
-	seq := runCSV("-workers", "0")
-	par := runCSV("-workers", "4")
+	seq := runCSV("-parallel", "1")
+	par := runCSV("-parallel", "4")
 	if seq != par {
-		t.Fatalf("-workers changed the simulated output:\nsequential:\n%s\nparallel:\n%s", seq, par)
+		t.Fatalf("-parallel changed the simulated output:\nsequential:\n%s\nparallel:\n%s", seq, par)
 	}
 }
 
 // TestObservationByteIdentity is the acceptance test of the telemetry
 // contract: running the full campaign set with the metrics server listening
 // and trace export enabled must emit CSVs byte-identical to an unobserved
-// run, for sequential and leaf-parallel execution alike.  Telemetry draws no
-// randomness and never joins fingerprints, so watching a campaign can never
-// change its results.
+// run, at -parallel 1 and 2 alike.  Telemetry draws no randomness and never
+// joins fingerprints, so watching a campaign can never change its results.
 func TestObservationByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end CLI runs are slow; skipped in -short mode")
 	}
 	expList := "fig3,table1,sched,faults"
 	csvNames := []string{"fig3.csv", "table1.csv", "sched.csv", "faults.csv"}
-	runCampaign := func(workers int, observe bool) string {
+	runCampaign := func(parallel int, observe bool) string {
 		t.Helper()
 		out, err := os.CreateTemp(t.TempDir(), "out")
 		if err != nil {
@@ -332,7 +369,7 @@ func TestObservationByteIdentity(t *testing.T) {
 		csvDir := t.TempDir()
 		args := []string{
 			"-preset", "ci", "-exp", expList, "-policy", "pack,predictor",
-			"-jobs", "6", "-csv", csvDir, "-workers", strconv.Itoa(workers),
+			"-jobs", "6", "-csv", csvDir, "-parallel", strconv.Itoa(parallel),
 		}
 		var traceFile string
 		if observe {
@@ -366,20 +403,28 @@ func TestObservationByteIdentity(t *testing.T) {
 		}
 		return csvDir
 	}
-	for _, workers := range []int{0, 2} {
-		plain := runCampaign(workers, false)
-		observed := runCampaign(workers, true)
+	// Every run is compared with the first unobserved one, so the CSVs must
+	// also match across -parallel values.
+	var reference string
+	for _, parallel := range []int{1, 2} {
+		plain := runCampaign(parallel, false)
+		observed := runCampaign(parallel, true)
+		if reference == "" {
+			reference = plain
+		}
 		for _, name := range csvNames {
-			want, err := os.ReadFile(filepath.Join(plain, name))
+			want, err := os.ReadFile(filepath.Join(reference, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := os.ReadFile(filepath.Join(observed, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(want) != string(got) {
-				t.Errorf("workers=%d: %s differs between observed and unobserved runs", workers, name)
+			for _, dir := range []string{plain, observed} {
+				got, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(want) != string(got) {
+					t.Errorf("parallel=%d: %s in %s differs from the unobserved -parallel 1 run", parallel, name, dir)
+				}
 			}
 		}
 	}

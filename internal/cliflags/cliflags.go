@@ -1,8 +1,8 @@
 // Package cliflags holds the flag cross-validation logic shared by the
 // swprobe and swpredict commands, so the two CLIs cannot drift apart on what
-// combinations of execution-mode and fault-injection flags are legal.  Each
-// helper validates one concern and returns the same error text both commands
-// used to produce inline.
+// combinations of fault-injection flags are legal.  Each helper validates
+// one concern and returns the same error text both commands used to produce
+// inline.
 package cliflags
 
 import (
@@ -12,18 +12,6 @@ import (
 	"github.com/hpcperf/switchprobe/internal/netsim"
 	"github.com/hpcperf/switchprobe/internal/sim"
 )
-
-// ValidateExec checks the execution-mode flags: -workers must be
-// non-negative, and leaf-parallel workers require the relaxed engine.
-func ValidateExec(workers int, strictOrder bool) error {
-	if workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", workers)
-	}
-	if strictOrder && workers > 1 {
-		return fmt.Errorf("-workers %d needs the relaxed engine; it cannot be combined with -strict-order", workers)
-	}
-	return nil
-}
 
 // ParseFaultFlags cross-validates the fault-injection flags and parses the
 // -fault-plan grammar.  It returns the parsed plan (nil-safe: an empty flag

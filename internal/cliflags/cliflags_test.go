@@ -8,25 +8,6 @@ import (
 	"github.com/hpcperf/switchprobe/internal/netsim"
 )
 
-func TestValidateExec(t *testing.T) {
-	if err := ValidateExec(0, false); err != nil {
-		t.Fatalf("default flags rejected: %v", err)
-	}
-	if err := ValidateExec(4, false); err != nil {
-		t.Fatalf("-workers 4 rejected: %v", err)
-	}
-	if err := ValidateExec(1, true); err != nil {
-		t.Fatalf("-workers 1 with -strict-order rejected: %v", err)
-	}
-	if err := ValidateExec(-1, false); err == nil {
-		t.Fatal("negative -workers accepted")
-	}
-	err := ValidateExec(4, true)
-	if err == nil || !strings.Contains(err.Error(), "strict-order") {
-		t.Fatalf("-workers with -strict-order should be rejected naming the flag: %v", err)
-	}
-}
-
 func TestParseFaultFlags(t *testing.T) {
 	plan, active, err := ParseFaultFlags("", 0, 0)
 	if err != nil || active {

@@ -266,23 +266,22 @@ func TestExecuteSpecResolvesAppsByName(t *testing.T) {
 // FuzzRunSpecCanonical checks that a spec's canonical encoding and hash are a
 // stable function of the run's inputs: repeated calls agree, the hash is
 // SHA-256 over SpecVersion and the encoding, one field sits on each line in
-// a fixed key order, the execution-only Workers knob and the default
-// placement spelling never fork the hash, and changing the seed, window,
-// volume scale or application name always does.
+// a fixed key order, the default placement spelling never forks the hash,
+// and changing the seed, window, volume scale or application name always
+// does.
 func FuzzRunSpecCanonical(f *testing.F) {
 	keys := []string{"kind", "seed", "machine", "mpi", "probe", "placement", "scale", "window",
 		"iters", "probes", "hist", "phases", "slot", "app", "coapp", "injector", "placed"}
-	f.Fuzz(func(t *testing.T, seed, window int64, volume float64, app, placement string, workers int) {
-		build := func(seed, window int64, volume float64, app, placement string, workers int) RunSpec {
+	f.Fuzz(func(t *testing.T, seed, window int64, volume float64, app, placement string) {
+		build := func(seed, window int64, volume float64, app, placement string) RunSpec {
 			o := sampleOptions()
 			o.Seed = seed
 			o.Window = sim.Duration(window)
 			o.Scale.Volume = volume
 			o.Placement = cluster.PlacementPolicy(placement)
-			o.Machine.Net.Workers = workers
 			return RunSpec{Kind: RunBaseline, Options: o, App: app}
 		}
-		spec := build(seed, window, volume, app, placement, workers)
+		spec := build(seed, window, volume, app, placement)
 		canon, hash := spec.Canonical(), spec.Hash()
 		if spec.Canonical() != canon || spec.Hash() != hash {
 			t.Fatal("Canonical or Hash changed between calls")
@@ -303,19 +302,14 @@ func FuzzRunSpecCanonical(f *testing.F) {
 				}
 			}
 		}
-		for _, w := range []int{0, workers + 1} {
-			if build(seed, window, volume, app, placement, w).Hash() != hash {
-				t.Fatalf("Workers %d changed the hash of a Workers %d spec", w, workers)
-			}
-		}
-		if placement == "" && build(seed, window, volume, app, "pack", workers).Hash() != hash {
+		if placement == "" && build(seed, window, volume, app, "pack").Hash() != hash {
 			t.Fatal(`placement "" and "pack" hash differently`)
 		}
 		for name, other := range map[string]RunSpec{
-			"seed":   build(seed+1, window, volume, app, placement, workers),
-			"window": build(seed, window+1, volume, app, placement, workers),
-			"app":    build(seed, window, volume, app+"x", placement, workers),
-			"volume": build(seed, window, math.Nextafter(volume, math.Inf(1)), app, placement, workers),
+			"seed":   build(seed+1, window, volume, app, placement),
+			"window": build(seed, window+1, volume, app, placement),
+			"app":    build(seed, window, volume, app+"x", placement),
+			"volume": build(seed, window, math.Nextafter(volume, math.Inf(1)), app, placement),
 		} {
 			if other.Hash() == hash && !(name == "volume" && (math.IsNaN(volume) || math.IsInf(volume, 1))) {
 				t.Fatalf("changing the %s left the hash unchanged", name)

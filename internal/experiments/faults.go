@@ -29,8 +29,8 @@ import (
 //     and requeue counts per policy.
 //
 // Both layers are deterministic: the packet runs are byte-identical across
-// repeats and across -workers values (fault transitions bound the relaxed
-// engine's lookahead), and the job level is a pure function of the seed.
+// repeats (fault transitions bound the relaxed engine's lookahead), and the
+// job level is a pure function of the seed for every -parallel value.
 
 // Fault case names, in canonical campaign order.
 const (

@@ -156,15 +156,19 @@ func (spec SchedSpec) withDefaults(cfg Config) SchedSpec {
 }
 
 // Validate reports whether the spec's arrival process is usable once its
-// defaults are resolved against cfg: the mean gap must be finite and
-// non-negative (0 derives it from Load), and a stream of Jobs mean gaps must
-// fit in sim.Time.  Sched and Faults run it before any scenario.
+// defaults are resolved against cfg: Jobs must be non-negative (0 selects
+// the default), the mean gap must be finite and non-negative (0 derives it
+// from Load), and a stream of Jobs mean gaps must fit in sim.Time.  Sched and
+// Faults run it before any scenario.
 func (spec SchedSpec) Validate(cfg Config) error {
 	return spec.withDefaults(cfg).validate()
 }
 
 // validate is Validate on a resolved spec.
 func (spec SchedSpec) validate() error {
+	if spec.Jobs < 0 {
+		return fmt.Errorf("sched: job count %d is negative (0 selects the campaign default)", spec.Jobs)
+	}
 	gap := spec.MeanInterarrivalMs
 	if math.IsNaN(gap) || math.IsInf(gap, 0) || gap < 0 {
 		return fmt.Errorf("sched: mean inter-arrival %v ms is not finite and non-negative (0 derives it from the offered load)", gap)

@@ -63,21 +63,27 @@ func TestSchedRejectsUnknownInputs(t *testing.T) {
 	if _, err := s.Sched(SchedSpec{Policies: []string{"greedy"}, Scenarios: []SchedScenario{{Label: "star"}}}); err == nil {
 		t.Fatal("expected error for unknown policy")
 	}
-	// Both campaigns reject a bad mean arrival gap before any scenario
-	// simulates, naming the value.
+	// Both campaigns reject a bad mean arrival gap or a negative job count
+	// before any scenario simulates, naming the value.
 	ResetSimUsage()
+	type badSpec struct {
+		spec SchedSpec
+		want string
+	}
+	bad := []badSpec{{SchedSpec{Jobs: -3}, "job count -3"}}
 	for _, gap := range []float64{math.NaN(), math.Inf(1), -1, 1e300} {
-		want := fmt.Sprintf("inter-arrival %v ms", gap)
-		spec := SchedSpec{MeanInterarrivalMs: gap}
-		if _, err := s.Sched(spec); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Sched with gap %v: want an error naming it, got %v", gap, err)
+		bad = append(bad, badSpec{SchedSpec{MeanInterarrivalMs: gap}, fmt.Sprintf("inter-arrival %v ms", gap)})
+	}
+	for _, c := range bad {
+		if _, err := s.Sched(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Sched: want an error naming %q, got %v", c.want, err)
 		}
-		if _, err := s.Faults(FaultsSpec{Sched: spec}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Faults with gap %v: want an error naming it, got %v", gap, err)
+		if _, err := s.Faults(FaultsSpec{Sched: c.spec}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Faults: want an error naming %q, got %v", c.want, err)
 		}
 	}
 	if runs := SimUsage().Runs; runs != 0 {
-		t.Fatalf("%d simulation runs executed before the bad gaps were rejected", runs)
+		t.Fatalf("%d simulation runs executed before the bad specs were rejected", runs)
 	}
 }
 

@@ -157,14 +157,12 @@ func TestProgramFastResumeCounting(t *testing.T) {
 
 // TestShutdownSuspendedRanks ends a window in which ranks are suspended
 // mid-program — an endless exchange loop and a rank waiting on a receive
-// that never arrives — with leaf-parallel workers enabled in the network:
-// Shutdown must cancel every pending kernel event without completing either
-// world.
+// that never arrives: Shutdown must cancel every pending kernel event
+// without completing either world.
 func TestShutdownSuspendedRanks(t *testing.T) {
 	k := sim.NewKernel(11)
 	cfg := cluster.CabConfig()
 	cfg.Net.Nodes = 4
-	cfg.Net.Workers = 2
 	m := cluster.MustNew(k, cfg)
 
 	jobA, err := m.AllocateSpread("endless", 1, 4)

@@ -35,9 +35,8 @@
 // and walks never batch across a topology change.  Walks check each trunk
 // hop's downAt against the packet's arrival instant, which catches both
 // already-down trunks and failures scheduled inside the committed window.
-// Worker-executed drains never traverse trunks (cross-leaf traffic forces
-// sequential windows — see workers.go), so loss and retransmit only ever
-// happen on the coordinator and parallel runs stay byte-identical.
+// Loss and retransmit run on the one goroutine that drives the network, in
+// the same order on every rerun, so faulted runs stay byte-identical.
 package netsim
 
 import (
@@ -495,8 +494,7 @@ func (n *Network) recomputeRoutes() {
 // sweepQueuedRoutes rebinds every packet still queued at a NIC to the current
 // route of its pair, so queued traffic fails over (or back) with the route
 // table.  In-flight packets keep their old route and take the per-hop down
-// checks instead.  Failover never changes whether a pair is cross-leaf, so
-// NIC crossQueued counts stay valid.
+// checks instead.
 func (n *Network) sweepQueuedRoutes() {
 	nodes := n.cfg.Nodes
 	for _, nc := range n.nics {
@@ -535,14 +533,14 @@ func (n *Network) resumeAfterFault(now sim.Time) {
 		for _, nc := range waiters {
 			if !nc.parked {
 				n.wakingPort = pt
-				n.drainNic(nc, nil)
+				n.drainNic(nc)
 				n.wakingPort = nil
 			}
 		}
 	}
 	for _, nc := range n.nics {
 		if nc.stalled && !nc.parked {
-			n.drainNic(nc, nil)
+			n.drainNic(nc)
 		}
 	}
 	if len(n.parked) > 0 {
@@ -553,8 +551,7 @@ func (n *Network) resumeAfterFault(now sim.Time) {
 // losePacket records the loss of a packet on a failed trunk and schedules its
 // retransmission from the source NIC: detection timeout with capped
 // exponential backoff from the loss instant, then re-injection on the current
-// route.  Loss always happens on the coordinator (worker drains never
-// traverse trunks), so scheduling the kernel event here is safe.
+// route.
 func (n *Network) losePacket(p *packet, at sim.Time) {
 	if p.retries < 62 {
 		p.retries++

@@ -32,7 +32,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"github.com/hpcperf/switchprobe/internal/sim"
 	"github.com/hpcperf/switchprobe/internal/telemetry"
@@ -105,13 +104,6 @@ type Config struct {
 	// seed but only statistically equivalent to strict runs.  The mode
 	// changes simulated schedules, so it participates in Fingerprint.
 	StrictOrder bool
-	// Workers caps the worker goroutines the relaxed mode may use to execute
-	// independent leaf-domain batches concurrently; 0 or 1 means fully
-	// sequential.  Parallel execution is restricted to batches whose merge
-	// order is forced, so simulated schedules are byte-identical for every
-	// Workers value — which is why Workers is deliberately EXCLUDED from
-	// Fingerprint: it is an execution knob, not a model parameter.
-	Workers int
 	// Faults schedules trunk failures, repairs and degradations for the run
 	// (faults.go); nil injects nothing.  An active plan changes simulated
 	// schedules, so it participates in Fingerprint (canonically encoded).
@@ -163,9 +155,6 @@ func (c Config) Fingerprint() string {
 		// their exact version-3 encoding (modulo the ModelVersion bump).
 		fmt.Fprintf(&b, ";faults=%s", c.Faults.Fingerprint())
 	}
-	// Config.Workers is intentionally absent: parallel relaxed execution is
-	// byte-identical to the sequential engine, so it must not fork the
-	// artifact space.
 	return b.String()
 }
 
@@ -415,12 +404,6 @@ type nic struct {
 	// round-robin order (and with it waiter registration order) is
 	// unchanged.
 	active []uint64
-	// crossQueued counts queued packets whose walk would leave the NIC's
-	// leaf domain (maintained at enqueue/pick time, relaxed mode only).  A
-	// parked NIC with crossQueued == 0 is confined to its own leaf's ports,
-	// which is what lets advance windows partition by leaf and run on
-	// worker goroutines (workers.go).
-	crossQueued int
 }
 
 // markActive records that queue idx holds packets.
@@ -483,7 +466,7 @@ func (nc *nic) dropWaitingOn(pt *SwitchPort) {
 // committed ahead of the clock, or it would forfeit its FIFO turn.
 func (nc *nic) resume(n *Network) {
 	if n.relaxed {
-		n.drainNic(nc, nil)
+		n.drainNic(nc)
 		return
 	}
 	n.tryStartUplink(nc)
@@ -561,9 +544,8 @@ type Network struct {
 	layout Layout
 	rng    *rand.Rand
 	// tracePid is this network's lane group in a structured trace, allocated
-	// on first sampled emission (0 = none yet); atomic because relaxed-mode
-	// leaf workers emit delivery events concurrently (see trace.go).
-	tracePid atomic.Int64
+	// on first sampled emission (0 = none yet; see trace.go).
+	tracePid int64
 	nics     []*nic
 	egress   []*SwitchPort // per-node egress ports
 	trunks   []*SwitchPort // inter-switch ports (empty for Star)
@@ -607,7 +589,6 @@ type Network struct {
 	relaxed         bool
 	lookahead       sim.Duration
 	serResidual     sim.Duration
-	workers         int
 	relaxDeliverFn  func(any)
 	relaxCompleteFn func(any)
 	portWakeFn      func(any)
@@ -631,12 +612,6 @@ type Network struct {
 	dirtyNics    []*nic
 	batchPending bool
 	batchFn      func(any)
-	// Leaf-domain worker scratch (workers.go): per-slot side-effect sinks,
-	// the slot lists grouped by leaf, and the leaves used this window.
-	sinks     []relSink
-	leafSlots [][]int
-	leafUsed  []int
-	leafSeen  []bool
 	// wakingPort is the port whose waiter FIFO is mid-wake: the resumed NIC
 	// may attempt admission there even though other waiters are queued (it
 	// is the FIFO head taking its granted turn).
@@ -662,7 +637,6 @@ type Network struct {
 	bytesByClass     map[string]int64
 	stallEvents      int64
 	cutThroughEvents int64
-	parallelWindows  int64
 	// Fault telemetry (faults.go).
 	trunksFailed         int64
 	packetsRetransmitted int64
@@ -756,7 +730,6 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	n.portDoneFn = func(a any) { n.portDone(a.(*packet)) }
 	n.deliverFn = func(a any) { n.deliver(a.(*packet)) }
 	n.relaxed = !cfg.StrictOrder
-	n.workers = cfg.Workers
 	n.relaxDeliverFn = func(a any) { n.relaxedDeliver(a.(*packet), n.k.Now()) }
 	n.relaxCompleteFn = func(a any) { n.relaxedComplete(a.(*packet), n.k.Now()) }
 	n.portWakeFn = func(a any) { n.relaxedPortWake(a.(*SwitchPort)) }
@@ -933,9 +906,6 @@ func (n *Network) sendSegmented(src, dst, size int, flow Flow, ms *messageState)
 		p.src, p.dst, p.size, p.flow, p.sent, p.msg = src, dst, psize, flow, now, ms
 		p.route, p.hop = route, 0
 		fq.q.push(p)
-		if n.relaxed && n.crossLeaf(p) {
-			nc.crossQueued++
-		}
 	}
 	nc.markActive(fq.idx)
 	n.pump(nc)
@@ -1009,9 +979,6 @@ func (n *Network) flowQueueFor(src int, flow Flow) (*nic, *flowQueue) {
 func (n *Network) inject(p *packet) {
 	nc, fq := n.flowQueueFor(p.src, p.flow)
 	fq.q.push(p)
-	if n.relaxed && n.crossLeaf(p) {
-		nc.crossQueued++
-	}
 	nc.markActive(fq.idx)
 	n.pump(nc)
 }
@@ -1299,10 +1266,6 @@ type Stats struct {
 	// It changes with contention and fast-path availability but never with
 	// the simulated schedule itself.
 	CutThroughEvents int64
-	// ParallelWindows is the number of advance windows executed on worker
-	// goroutines (Config.Workers > 1 and the window partitioned by leaf).
-	// Execution telemetry only: it never affects the simulated schedule.
-	ParallelWindows int64
 	// LedgerClamps counts relLedger.push calls that had to clamp a release
 	// "marginally late" — a probe's shadow service finishing before the last
 	// committed release.  A drifting value flags credit-timing skew.
@@ -1334,7 +1297,6 @@ func (n *Network) Stats() Stats {
 		BytesByClass:         make(map[string]int64, len(n.bytesByClass)),
 		StallEvents:          n.stallEvents,
 		CutThroughEvents:     n.cutThroughEvents,
-		ParallelWindows:      n.parallelWindows,
 		TrunksFailed:         n.trunksFailed,
 		PacketsRetransmitted: n.packetsRetransmitted,
 		RoutesRecomputed:     n.routesRecomputed,

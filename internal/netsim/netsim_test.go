@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -60,10 +63,10 @@ func TestCabConfigShape(t *testing.T) {
 }
 
 // TestConfigFingerprintCoversEveryModelField enforces Fingerprint's contract
-// field by field: changing any model parameter must change the fingerprint,
-// and changing an execution knob (Workers) must not, or cached artifacts
-// would fork.  The table must name every Config field, so a new field
-// cannot be added without deciding which side it is on.
+// field by field: changing any Config field must change the fingerprint, or
+// runs that simulate differently would share cached artifacts.  The table
+// must name every Config field, so a new field cannot be added without a
+// fingerprint case.
 func TestConfigFingerprintCoversEveryModelField(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"Nodes":             func(c *Config) { c.Nodes = 12 },
@@ -80,9 +83,7 @@ func TestConfigFingerprintCoversEveryModelField(t *testing.T) {
 		"Faults": func(c *Config) {
 			c.Faults = &FaultPlan{Events: []FaultEvent{{At: sim.Millisecond, Trunk: "leaf0.up1", Kind: FaultTrunkDown}}}
 		},
-		"Workers": func(c *Config) { c.Workers = 4 },
 	}
-	executionOnly := map[string]bool{"Workers": true}
 
 	typ := reflect.TypeOf(Config{})
 	if typ.NumField() != len(mutations) {
@@ -97,12 +98,8 @@ func TestConfigFingerprintCoversEveryModelField(t *testing.T) {
 		}
 		c := CabConfig()
 		mutate(&c)
-		changed := c.Fingerprint() != base
-		if executionOnly[name] && changed {
-			t.Errorf("execution knob Config.%s changed the fingerprint", name)
-		}
-		if !executionOnly[name] && !changed {
-			t.Errorf("model parameter Config.%s left the fingerprint unchanged", name)
+		if c.Fingerprint() == base {
+			t.Errorf("Config.%s left the fingerprint unchanged", name)
 		}
 	}
 }
@@ -397,6 +394,91 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	p2, t2 := run()
 	if p1 != p2 || t1 != t2 {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", p1, t1, p2, t2)
+	}
+}
+
+// leafStormRun drives a fat-tree workload that alternates leaf-local storms
+// with a cross-leaf phase loading every spine trunk, and returns the full
+// delivery trace plus the final statistics.
+func leafStormRun() (string, Stats, error) {
+	k := sim.NewKernel(123)
+	cfg := CabConfig()
+	cfg.Nodes = 16
+	cfg.Topology = FatTree{Leaves: 4, UplinksPerLeaf: 2}
+	n := MustNew(k, cfg)
+	var trace strings.Builder
+	n.Observe(func(d Delivery) {
+		fmt.Fprintf(&trace, "%d>%d sz=%d sent=%d arr=%d\n",
+			d.Src, d.Dst, d.Size, int64(d.Sent), int64(d.Arrived))
+	})
+	var sendErr error
+	send := func(src, dst, size int, flow Flow) {
+		if err := n.SendMessage(src, dst, size, flow, nil); err != nil && sendErr == nil {
+			sendErr = err
+		}
+	}
+	localStorm := func(round int) {
+		for leaf := 0; leaf < 4; leaf++ {
+			for a := 0; a < 4; a++ {
+				for b := 0; b < 4; b++ {
+					if a != b {
+						src, dst := leaf*4+a, leaf*4+b
+						send(src, dst, 48*1024+src*131+round*977, Flow{Class: "local", ID: round*1000 + src*16 + dst})
+					}
+				}
+			}
+		}
+	}
+	localStorm(0)
+	k.CallAt(2*sim.Time(sim.Millisecond), func(any) {
+		for src := 0; src < 16; src++ {
+			send(src, (src+5)%16, 96*1024, Flow{Class: "cross", ID: 2000 + src})
+		}
+	}, nil)
+	k.CallAt(5*sim.Time(sim.Millisecond), func(any) { localStorm(1) }, nil)
+	k.Run()
+	return trace.String(), n.Stats(), sendErr
+}
+
+// TestConcurrentNetworksByteIdentical: a network is driven only by the
+// goroutine that runs its kernel and shares no mutable state with any other
+// network, so simulations run side by side — as engine.Parallel runs
+// campaign specs under -parallel — reproduce a lone run's schedule byte for
+// byte.  Under -race it also catches state shared between networks.
+func TestConcurrentNetworksByteIdentical(t *testing.T) {
+	wantTrace, wantStats, err := leafStormRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantStats.BytesByClass["local"] == 0 || wantStats.BytesByClass["cross"] == 0 {
+		t.Fatalf("workload lost a phase: bytes by class %v", wantStats.BytesByClass)
+	}
+	type result struct {
+		trace string
+		stats Stats
+		err   error
+	}
+	results := make([]result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(r *result) {
+			defer wg.Done()
+			r.trace, r.stats, r.err = leafStormRun()
+		}(&results[i])
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("copy %d: %v", i, r.err)
+		}
+		if r.trace != wantTrace {
+			t.Fatalf("copy %d: delivery trace diverges from a lone run:\nlone:\n%s\nconcurrent:\n%s",
+				i, head(wantTrace, 20), head(r.trace, 20))
+		}
+		if !reflect.DeepEqual(r.stats, wantStats) {
+			t.Fatalf("copy %d: stats diverge from a lone run:\nlone: %+v\nconcurrent: %+v", i, wantStats, r.stats)
+		}
 	}
 }
 

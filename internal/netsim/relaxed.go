@@ -186,7 +186,7 @@ func (n *Network) pump(nc *nic) {
 	if nc.parked {
 		// The advance owns the cursor's resume — up to a full lookahead away,
 		// too late for the arbitration slot a fresh head is owed now.
-		n.expressHeads(nc, n.k.Now(), nil)
+		n.expressHeads(nc, n.k.Now())
 		return
 	}
 	nc.dirty = true
@@ -221,7 +221,7 @@ func (n *Network) drainBatch() {
 		if nc.dirty {
 			nc.dirty = false
 			if !nc.parked {
-				n.drainNic(nc, nil)
+				n.drainNic(nc)
 			}
 		}
 	}
@@ -234,13 +234,7 @@ func (n *Network) drainBatch() {
 // the conservative horizon (one lookahead past the clock).  It parks on the
 // network's advance list when the uplink is blocked on downstream credits or
 // when committing further would outrun the horizon.
-//
-// sink is nil on the sequential paths (wakes, batch drains, sequential
-// advances); a worker-executed drain passes its per-NIC relSink, which
-// reroutes every globally-ordered side effect — posts, wake arms, parks,
-// pool returns, statistics — into the buffer the coordinator later replays
-// (see workers.go).
-func (n *Network) drainNic(nc *nic, sink *relSink) {
+func (n *Network) drainNic(nc *nic) {
 	// A drain reaching the NIC through any path (batch entry, port wake,
 	// parked-NIC advance) satisfies a pending batch mark: clear it so the
 	// batch skips the NIC instead of rescanning it.
@@ -262,7 +256,7 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 	if t < now {
 		t = now
 	}
-	n.expressHeads(nc, now, sink)
+	n.expressHeads(nc, now)
 	for {
 		if t >= horizon {
 			// Committing further would outrun the lookahead: traffic injected
@@ -270,13 +264,6 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 			// completions) must get its arbitration turn at most one fabric
 			// traversal late.  Park until the clock catches up.
 			nc.freeAt = t
-			if sink != nil {
-				// The coordinator re-parks in slot order; ensureAdvance is
-				// suppressed during advance() either way.
-				nc.parked = true
-				sink.parked = true
-				return
-			}
 			n.park(nc)
 			return
 		}
@@ -314,7 +301,7 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 					if !nc.isWaitingOn(first) {
 						nc.waitingOn = append(nc.waitingOn, first)
 						first.relWaiters = append(first.relWaiters, nc)
-						n.ensureRelWake(first, sink)
+						n.ensureRelWake(first)
 					}
 					continue
 				}
@@ -338,30 +325,18 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 				// mode uses — so contending NICs share returning credits
 				// fairly instead of racing.
 				nc.stalled = true
-				if sink != nil {
-					sink.stalls++
-				} else {
-					n.stallEvents++
-				}
+				n.stallEvents++
 			}
 			nc.freeAt = t
 			return
 		}
 		nc.stalled = false
-		var ser sim.Duration
-		if sink != nil {
-			ser = sink.serialization(n.cfg.LinkBandwidth, chosen.size)
-		} else {
-			ser = n.serialization(chosen.size)
-		}
-		if n.crossLeaf(chosen) {
-			nc.crossQueued--
-		}
+		ser := n.serialization(chosen.size)
 		if chosenFirst.capacity != 0 {
 			chosenFirst.buffered += chosen.size // credit reserved while in flight
 		}
 		nc.busyNS += ser
-		n.walkPacket(chosen, cfq, t, ser, sink)
+		n.walkPacket(chosen, cfq, t, ser)
 		t = t.Add(ser)
 		nc.freeAt = t
 	}
@@ -392,7 +367,7 @@ func (n *Network) drainNic(nc *nic, sink *relSink) {
 // arrival-ordered shadow instead.  Other heads honor admission; a denied
 // head registers on the port's waiter FIFO exactly like a cursor pick and
 // falls back to the cursor path.
-func (n *Network) expressHeads(nc *nic, now sim.Time, sink *relSink) {
+func (n *Network) expressHeads(nc *nic, now sim.Time) {
 	tp := now
 	if nc.freeAt > now {
 		tp = tp.Add(n.serResidual)
@@ -413,7 +388,7 @@ func (n *Network) expressHeads(nc *nic, now sim.Time, sink *relSink) {
 				if !nc.isWaitingOn(first) {
 					nc.waitingOn = append(nc.waitingOn, first)
 					first.relWaiters = append(first.relWaiters, nc)
-					n.ensureRelWake(first, sink)
+					n.ensureRelWake(first)
 				}
 				continue
 			}
@@ -424,20 +399,12 @@ func (n *Network) expressHeads(nc *nic, now sim.Time, sink *relSink) {
 		if fq.q.empty() {
 			nc.clearActive(idx)
 		}
-		if n.crossLeaf(p) {
-			nc.crossQueued--
-		}
-		var ser sim.Duration
-		if sink != nil {
-			ser = sink.serialization(n.cfg.LinkBandwidth, p.size)
-		} else {
-			ser = n.serialization(p.size)
-		}
+		ser := n.serialization(p.size)
 		if first.capacity != 0 {
 			first.buffered += p.size // credit reserved while in flight
 		}
 		nc.busyNS += ser
-		n.walkPacket(p, fq, tp, ser, sink)
+		n.walkPacket(p, fq, tp, ser)
 		end := tp.Add(ser)
 		if nc.freeAt > now {
 			nc.freeAt = nc.freeAt.Add(ser) // express pick consumed link time
@@ -456,10 +423,7 @@ func (n *Network) expressHeads(nc *nic, now sim.Time, sink *relSink) {
 // freeAt / busy time / credit ledger as it goes, so later walks through the
 // same ports queue behind this packet exactly as the strict event cascade
 // would make them.
-//
-// A worker-executed walk (sink != nil) touches only leaf-local port state;
-// its posts, pool returns and statistics land in the sink for ordered replay.
-func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Duration, sink *relSink) {
+func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Duration) {
 	rng := &fq.rng // seeded at flowQueue creation (flowQueueFor)
 	route := p.route
 	size := p.size
@@ -475,9 +439,7 @@ func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Du
 			// inside the committed window (the generator pre-draws, so the
 			// stamp is always current).  The packet holds one reserve on this
 			// hop (taken by the pick for hop 0, by the previous iteration
-			// otherwise); loseWalked releases it and retransmits.  Worker
-			// drains never reach here: trunk hops imply cross-leaf routes,
-			// which force sequential windows.
+			// otherwise); loseWalked releases it and retransmits.
 			n.loseWalked(p, pt, arrived)
 			return
 		}
@@ -525,33 +487,24 @@ func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Du
 		t = e
 	}
 	arrive := t.Add(route[len(route)-1].link.Delay)
-	n.finishWalk(p, fq, arrive, sink)
+	n.finishWalk(p, fq, arrive)
 }
 
 // finishWalk commits the bookkeeping tail of a completed route walk:
 // delivery counters, observer/probe posts, message completion and packet
 // recycling.
-func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time, sink *relSink) {
+func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time) {
 	size := p.size
 	fq.bytes += int64(size)
 	if telemetry.TraceEnabled() && telemetry.TraceSampleHit() {
 		n.traceDelivery(p, arrive)
 	}
-	if sink != nil {
-		sink.packets++
-		sink.bytes += int64(size)
-	} else {
-		n.packetsDelivered++
-		n.bytesDelivered += int64(size)
-	}
+	n.packetsDelivered++
+	n.bytesDelivered += int64(size)
 	if p.onDeliver != nil || len(n.observers) > 0 {
 		// User callbacks must run at the packet's true virtual time; defer
 		// through the lane, which advances the clock to the entry.
-		if sink != nil {
-			sink.ops = append(sink.ops, relOp{kind: laneRelaxedDeliver, at: arrive, p: p})
-		} else {
-			n.postRelaxed(arrive, laneRelaxedDeliver, p, 0)
-		}
+		n.postRelaxed(arrive, laneRelaxedDeliver, p, 0)
 		return
 	}
 	if ms := p.msg; ms != nil {
@@ -561,17 +514,9 @@ func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time, sink *re
 		ms.remaining--
 		if ms.remaining == 0 {
 			// One deferred completion per message, at the max arrival.
-			if sink != nil {
-				sink.ops = append(sink.ops, relOp{kind: laneRelaxedComplete, at: ms.completeAt, p: p})
-			} else {
-				n.postRelaxed(ms.completeAt, laneRelaxedComplete, p, 0)
-			}
+			n.postRelaxed(ms.completeAt, laneRelaxedComplete, p, 0)
 			return
 		}
-	}
-	if sink != nil {
-		sink.recycled = append(sink.recycled, p)
-		return
 	}
 	n.putPacket(p)
 }
@@ -579,10 +524,8 @@ func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time, sink *re
 // ensureRelWake schedules a deferred waiter wake for the port at its next
 // scheduled credit release, if one is not already pending.  The wake resumes
 // the port's waiter FIFO in stall order, reproducing strict mode's fair
-// rotation among NICs contending for a saturated buffer.  A worker-executed
-// drain (sink != nil) marks the port pending — the port is leaf-local — but
-// buffers the arm itself, whose lane sequence number encodes global order.
-func (n *Network) ensureRelWake(pt *SwitchPort, sink *relSink) {
+// rotation among NICs contending for a saturated buffer.
+func (n *Network) ensureRelWake(pt *SwitchPort) {
 	if pt.wakePending || len(pt.relWaiters) == 0 {
 		return
 	}
@@ -598,15 +541,6 @@ func (n *Network) ensureRelWake(pt *SwitchPort, sink *relSink) {
 		at = now
 	}
 	pt.wakePending = true
-	if sink != nil {
-		sink.ops = append(sink.ops, relOp{kind: laneRelaxedPortWake, at: at, pt: pt})
-		return
-	}
-	n.armPortWake(pt, at)
-}
-
-// armPortWake schedules the already-marked-pending wake entry for pt at at.
-func (n *Network) armPortWake(pt *SwitchPort, at sim.Time) {
 	if n.fastOn && at < laneMaxAt && n.k.NextSeq() < laneMaxSeq {
 		n.lane.push(laneEvent{key: laneKey(at, n.k.AllocSeq()), kind: laneRelaxedPortWake, aux: pt.idx})
 		return
@@ -640,11 +574,11 @@ func (n *Network) relaxedPortWake(pt *SwitchPort) {
 		pt.relWaiters = pt.relWaiters[:last]
 		nc.dropWaitingOn(pt)
 		n.wakingPort = pt
-		n.drainNic(nc, nil)
+		n.drainNic(nc)
 		n.wakingPort = nil
 	}
 	pt.wakePending = false
-	n.ensureRelWake(pt, nil)
+	n.ensureRelWake(pt)
 }
 
 // park suspends a NIC whose drain reached the commit horizon and arms the
@@ -699,14 +633,12 @@ func (n *Network) advance(gen int32) {
 	}
 	list := n.parked
 	n.parked = n.parkedScratch[:0]
-	if n.workers <= 1 || !n.advanceParallel(list, horizon) {
-		for _, nc := range list {
-			if nc.freeAt < horizon {
-				nc.parked = false
-				n.drainNic(nc, nil) // may re-park onto the fresh list
-			} else {
-				n.parked = append(n.parked, nc)
-			}
+	for _, nc := range list {
+		if nc.freeAt < horizon {
+			nc.parked = false
+			n.drainNic(nc) // may re-park onto the fresh list
+		} else {
+			n.parked = append(n.parked, nc)
 		}
 	}
 	n.parkedScratch = list[:0]

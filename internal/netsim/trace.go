@@ -16,16 +16,13 @@ import (
 
 // tracePidFor lazily allocates the network's trace process id and names its
 // lanes: one trace process per Network, one thread per destination leaf.
-// The allocation races benignly between leaf workers: one CAS wins and names
-// the lanes, losers read the winner's pid.
+// The network is driven by one goroutine, so a plain field suffices.
 func (n *Network) tracePidFor() int64 {
-	if pid := n.tracePid.Load(); pid != 0 {
-		return pid
+	if n.tracePid != 0 {
+		return n.tracePid
 	}
 	pid := telemetry.NextTracePid()
-	if !n.tracePid.CompareAndSwap(0, pid) {
-		return n.tracePid.Load()
-	}
+	n.tracePid = pid
 	telemetry.EmitProcessName(pid, fmt.Sprintf("net %s/%d nodes", TopologyFingerprint(n.topo), n.cfg.Nodes))
 	for leaf := 0; leaf < n.Leaves(); leaf++ {
 		telemetry.EmitThreadName(pid, int64(leaf), fmt.Sprintf("leaf %d", leaf))

@@ -17,9 +17,10 @@ import (
 // instrumented site is a single atomic load (Enabled) plus, for sampled
 // categories, one atomic add (SampleHit).  Sampling is a deterministic
 // modulo on a global event counter — never a random draw, so tracing can
-// never perturb a simulation's RNG streams.  Emission order follows wall
-// execution order and is not deterministic under -workers parallelism; the
-// simulated schedule the events describe still is.
+// never perturb a simulation's RNG streams.  Each simulation emits from the
+// one goroutine that drives it, but concurrent campaign runs (-parallel)
+// interleave in wall execution order, so emission order across runs is not
+// deterministic; the simulated schedule the events describe still is.
 
 // TraceEvent is one Chrome trace-event JSON record.
 type TraceEvent struct {

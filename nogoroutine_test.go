@@ -10,16 +10,16 @@ import (
 	"testing"
 )
 
-// TestKernelAndRanksUseNoGoroutines keeps the simulation kernel and the MPI
-// rank runtime single-threaded: every simulated activity in internal/sim and
-// internal/mpisim is a chain of kernel events on the goroutine that runs the
-// kernel, so no non-test file there may start a goroutine, declare a channel
-// type, send, receive or select.  (netsim's leaf-parallel workers are the
-// simulator's one deliberate use of goroutines and live outside these two
-// packages.)
+// TestKernelAndRanksUseNoGoroutines keeps each simulation on one goroutine:
+// every simulated activity in internal/sim, internal/mpisim and
+// internal/netsim — the kernel, the ranks and the network — is a chain of
+// kernel events on the goroutine that runs the kernel, so no non-test file
+// there may start a goroutine, declare a channel type, send, receive or
+// select.  Concurrency lives above the simulation, in engine.Parallel, which
+// runs whole simulations side by side.
 func TestKernelAndRanksUseNoGoroutines(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, dir := range []string{"internal/sim", "internal/mpisim"} {
+	for _, dir := range []string{"internal/sim", "internal/mpisim", "internal/netsim"} {
 		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
