@@ -9,7 +9,6 @@
 //	        [-strict-order]
 //	        [-cache-dir DIR] [-no-cache]
 //	        [-cpuprofile FILE] [-memprofile FILE]
-//	        [-blockprofile FILE] [-mutexprofile FILE]
 //	        [-topology star|fattree] [-leaves N] [-uplinks N]
 //	        [-placement pack|spread|random] [-target APP] [-corunner APP]
 //	        [-policy LIST|all] [-jobs N] [-arrivals MS]
@@ -23,14 +22,14 @@
 // endpoints.  -trace writes a Chrome trace-event JSON file (viewable in
 // Perfetto) of sampled kernel and network events, every scheduler placement
 // decision and job lifetime, and every fault window; -trace-sample keeps one
-// in N high-rate events (default 1024).  Both are pure observation — they
-// never touch fingerprints, random streams or campaign output, which stays
-// byte-identical with them on or off (see docs/observability.md).
+// in N high-rate events of each simulation (default 1024).  Both are pure
+// observation — they never touch fingerprints, random streams or campaign
+// output, which stays byte-identical with them on or off (see
+// docs/observability.md).  A trace that cannot be written fails the run.
 //
 // -cpuprofile/-memprofile write pprof profiles of the whole campaign, so a
 // hot-path regression can be diagnosed on any experiment without editing
-// code (go tool pprof <file>).  -blockprofile/-mutexprofile additionally
-// capture blocking and mutex-contention profiles.
+// code (go tool pprof <file>).
 //
 // The topology flags select the simulated fabric for every experiment; the
 // xswitch campaign additionally sweeps the fat-tree's oversubscription and
@@ -71,6 +70,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -99,7 +99,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out *os.File) (err error) {
 	fs := flag.NewFlagSet("swprobe", flag.ContinueOnError)
 	exp := fs.String("exp", "fig9", "experiment to run: fig3, fig6, fig7, table1, fig8, fig9, xswitch, sched, faults or all")
 	preset := fs.String("preset", string(experiments.PresetDefault), "scale preset: paper, default or ci")
@@ -110,8 +110,6 @@ func run(args []string, out *os.File) error {
 	noCache := fs.Bool("no-cache", false, "disable the persistent artifact cache even when -cache-dir is set")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the campaign) to this file")
-	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile (after the campaign) to this file")
-	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile (after the campaign) to this file")
 	topology := fs.String("topology", "star", "network topology: star or fattree")
 	leaves := fs.Int("leaves", 0, "fattree: number of leaf switches (0 = 2)")
 	uplinks := fs.Int("uplinks", 0, "fattree: uplinks per leaf to the spine (0 = one per node, no oversubscription)")
@@ -180,16 +178,18 @@ func run(args []string, out *os.File) error {
 		fmt.Fprintf(os.Stderr, "swprobe: telemetry on http://%s (/metrics /progress /debug/pprof)\n", srv.Addr())
 	}
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
+		f, createErr := os.Create(*traceFile)
+		if createErr != nil {
+			return fmt.Errorf("-trace: %w", createErr)
 		}
 		telemetry.StartTrace(f, *traceSample)
+		// The trace is written when the campaign ends; a failed write or
+		// close fails the run rather than leaving a truncated file behind a
+		// zero exit status.
 		defer func() {
-			if err := telemetry.StopTrace(); err != nil {
-				fmt.Fprintln(os.Stderr, "swprobe: trace:", err)
+			if traceErr := errors.Join(telemetry.StopTrace(), f.Close()); traceErr != nil {
+				err = errors.Join(err, fmt.Errorf("-trace: %w", traceErr))
 			}
-			f.Close()
 		}()
 	}
 
@@ -291,34 +291,6 @@ func run(args []string, out *os.File) error {
 				fmt.Fprintln(os.Stderr, "swprobe: memprofile:", err)
 			}
 			f.Close()
-		}()
-	}
-	if *blockProfile != "" {
-		f, err := os.Create(*blockProfile)
-		if err != nil {
-			return fmt.Errorf("blockprofile: %w", err)
-		}
-		runtime.SetBlockProfileRate(1)
-		defer func() {
-			if err := pprof.Lookup("block").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "swprobe: blockprofile:", err)
-			}
-			f.Close()
-			runtime.SetBlockProfileRate(0)
-		}()
-	}
-	if *mutexProfile != "" {
-		f, err := os.Create(*mutexProfile)
-		if err != nil {
-			return fmt.Errorf("mutexprofile: %w", err)
-		}
-		runtime.SetMutexProfileFraction(1)
-		defer func() {
-			if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "swprobe: mutexprofile:", err)
-			}
-			f.Close()
-			runtime.SetMutexProfileFraction(0)
 		}()
 	}
 

@@ -2,12 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/hpcperf/switchprobe/internal/core"
 	"github.com/hpcperf/switchprobe/internal/experiments"
 	"github.com/hpcperf/switchprobe/internal/report"
 )
@@ -291,11 +294,36 @@ func TestRunSchedEndToEnd(t *testing.T) {
 }
 
 // TestRunValidatesExecutionFlags: -workers is not a flag; each simulation
-// runs on one goroutine, and -parallel is the one concurrency flag.
+// runs on one goroutine, and -parallel is the one concurrency flag.  Nor are
+// -blockprofile and -mutexprofile: -listen's /debug/pprof serves both.
 func TestRunValidatesExecutionFlags(t *testing.T) {
-	err := run([]string{"-preset", "ci", "-exp", "fig3", "-workers", "2"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -workers") {
-		t.Fatalf("-workers should be an unknown flag, got %v", err)
+	for _, args := range [][]string{
+		{"-workers", "2"},
+		{"-blockprofile", "block.out"},
+		{"-mutexprofile", "mutex.out"},
+	} {
+		err := run(append([]string{"-preset", "ci", "-exp", "fig3"}, args...), os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s should be an unknown flag, got %v", args[0], err)
+		}
+	}
+}
+
+// TestRunFailsWhenTraceCannotBeWritten: a trace file that cannot be written
+// fails the run with an error naming -trace, not a line on stderr and a zero
+// exit status.
+func TestRunFailsWhenTraceCannotBeWritten(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	out, err := os.CreateTemp(t.TempDir(), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	err = run([]string{"-preset", "ci", "-exp", "fig6", "-trace", "/dev/full"}, out)
+	if err == nil || !strings.HasPrefix(err.Error(), "-trace: ") {
+		t.Fatalf("-trace /dev/full: want an error naming -trace, got %v", err)
 	}
 }
 
@@ -351,22 +379,25 @@ func TestRunParallelByteIdenticalCLI(t *testing.T) {
 // TestObservationByteIdentity is the acceptance test of the telemetry
 // contract: running the full campaign set with the metrics server listening
 // and trace export enabled must emit CSVs byte-identical to an unobserved
-// run, at -parallel 1 and 2 alike.  Telemetry draws no randomness and never
-// joins fingerprints, so watching a campaign can never change its results.
+// run, at -parallel 1 and 2 alike, and fire exactly the same simulator
+// events.  Telemetry draws no randomness and never joins fingerprints, so
+// watching a campaign can never change its results.  Each simulation samples
+// its own trace events, so the traced events are the same at every
+// -parallel; only their order and pids depend on how runs interleave.
 func TestObservationByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end CLI runs are slow; skipped in -short mode")
 	}
 	expList := "fig3,table1,sched,faults"
 	csvNames := []string{"fig3.csv", "table1.csv", "sched.csv", "faults.csv"}
-	runCampaign := func(parallel int, observe bool) string {
+	runCampaign := func(parallel int, observe bool) (csvDir string, usage core.SimUsage, trace []string) {
 		t.Helper()
 		out, err := os.CreateTemp(t.TempDir(), "out")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer out.Close()
-		csvDir := t.TempDir()
+		csvDir = t.TempDir()
 		args := []string{
 			"-preset", "ci", "-exp", expList, "-policy", "pack,predictor",
 			"-jobs", "6", "-csv", csvDir, "-parallel", strconv.Itoa(parallel),
@@ -383,32 +414,23 @@ func TestObservationByteIdentity(t *testing.T) {
 		if err := run(args, out); err != nil {
 			t.Fatal(err)
 		}
+		usage = experiments.SimUsage()
+		usage.WallNS = 0 // the one field that measures the host, not the model
 		if observe {
-			// The exported trace must be well-formed Chrome trace-event JSON
-			// with at least one event: the campaign fires kernel, sched and
-			// fault emitters.
-			blob, err := os.ReadFile(traceFile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var doc struct {
-				TraceEvents []map[string]any `json:"traceEvents"`
-			}
-			if err := json.Unmarshal(blob, &doc); err != nil {
-				t.Fatalf("trace file is not valid JSON: %v", err)
-			}
-			if len(doc.TraceEvents) == 0 {
+			// The campaign fires kernel, network, sched and fault emitters.
+			if trace = traceMultiset(t, traceFile); len(trace) == 0 {
 				t.Fatal("trace file holds zero events for a full campaign")
 			}
 		}
-		return csvDir
+		return csvDir, usage, trace
 	}
 	// Every run is compared with the first unobserved one, so the CSVs must
 	// also match across -parallel values.
 	var reference string
+	var refTrace []string
 	for _, parallel := range []int{1, 2} {
-		plain := runCampaign(parallel, false)
-		observed := runCampaign(parallel, true)
+		plain, plainUsage, _ := runCampaign(parallel, false)
+		observed, observedUsage, trace := runCampaign(parallel, true)
 		if reference == "" {
 			reference = plain
 		}
@@ -427,7 +449,59 @@ func TestObservationByteIdentity(t *testing.T) {
 				}
 			}
 		}
+		if observedUsage != plainUsage {
+			t.Errorf("parallel=%d: observation changed the simulator counters:\nobserved %+v\nplain    %+v",
+				parallel, observedUsage, plainUsage)
+		}
+		if refTrace == nil {
+			refTrace = trace
+		} else if !slices.Equal(trace, refTrace) {
+			t.Errorf("parallel=%d: traced %d events (pid dropped), -parallel 1 traced %d; first difference %s",
+				parallel, len(trace), len(refTrace), firstDifference(trace, refTrace))
+		}
 	}
+}
+
+// traceMultiset reads a Chrome trace file and returns its events, each
+// re-encoded without its pid, sorted: what a campaign traced, independent of
+// the order concurrent runs emitted it and of the pids they drew.
+func traceMultiset(t *testing.T, path string) []string {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string          `json:"name"`
+			Cat  string          `json:"cat"`
+			Ph   string          `json:"ph"`
+			TS   float64         `json:"ts"`
+			Dur  float64         `json:"dur"`
+			Tid  int64           `json:"tid"`
+			Args json.RawMessage `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatalf("trace file is not valid JSON: %v", err)
+	}
+	events := make([]string, len(doc.TraceEvents))
+	for i, ev := range doc.TraceEvents {
+		events[i] = fmt.Sprintf("%s %s %q ts=%v dur=%v tid=%d %s", ev.Ph, ev.Cat, ev.Name, ev.TS, ev.Dur, ev.Tid, ev.Args)
+	}
+	slices.Sort(events)
+	return events
+}
+
+// firstDifference describes the first position where two sorted event lists
+// differ.
+func firstDifference(a, b []string) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("at %d: %s vs %s", i, a[i], b[i])
+		}
+	}
+	return fmt.Sprintf("at %d: one list ends", min(len(a), len(b)))
 }
 
 func TestRunValidatesFaultFlags(t *testing.T) {

@@ -98,14 +98,21 @@ func contendedScenario() SchedScenario {
 // predictor-in-the-loop policy achieves lower mean job stretch than both
 // blind placements it is judged against, and its runs resolve every
 // coefficient from the engine without extra simulations after the prefetch.
+// The campaign is BenchmarkSchedCampaign's, so it also holds the cold
+// simulations to the cut-through budget: the fast path elides work, and at
+// least as many events as the kernel fires.
 func TestSchedPredictorGuidedWinsOnContendedFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping sched campaign in -short mode")
 	}
 	s := NewSuite(MustNewConfig(PresetCI, 1))
+	ResetSimUsage()
 	r, err := s.Sched(SchedSpec{Scenarios: []SchedScenario{contendedScenario()}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if u := SimUsage(); u.EventsElided <= 0 || u.EventsElided < u.EventsFired {
+		t.Errorf("cut-through elided %d events against %d fired; want > 0 and >= fired", u.EventsElided, u.EventsFired)
 	}
 	pg, ok1 := r.MeanStretch("fattree-2:1", sched.PolicyPredictor)
 	pack, ok2 := r.MeanStretch("fattree-2:1", sched.PolicyPack)

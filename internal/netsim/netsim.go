@@ -544,12 +544,14 @@ type Network struct {
 	layout Layout
 	rng    *rand.Rand
 	// tracePid is this network's lane group in a structured trace, allocated
-	// on first sampled emission (0 = none yet; see trace.go).
-	tracePid int64
-	nics     []*nic
-	egress   []*SwitchPort // per-node egress ports
-	trunks   []*SwitchPort // inter-switch ports (empty for Star)
-	ports    []*SwitchPort // every port, indexed by SwitchPort.idx
+	// on first sampled emission (0 = none yet), and traceSample picks which
+	// deliveries are traced (see trace.go).
+	tracePid    int64
+	traceSample telemetry.Sampler
+	nics        []*nic
+	egress      []*SwitchPort // per-node egress ports
+	trunks      []*SwitchPort // inter-switch ports (empty for Star)
+	ports       []*SwitchPort // every port, indexed by SwitchPort.idx
 	// routes[src*Nodes+dst] is the shared port sequence between the pair,
 	// ending at dst's egress port; resolved once at construction so the
 	// per-packet path costs one slice-header copy.
@@ -1224,7 +1226,7 @@ func (n *Network) deliverAt(p *packet, at sim.Time) {
 	n.packetsDelivered++
 	n.bytesDelivered += int64(p.size)
 	n.bytesByClass[p.flow.Class] += int64(p.size)
-	if telemetry.TraceEnabled() && telemetry.TraceSampleHit() {
+	if telemetry.TraceEnabled() && n.traceSample.Hit() {
 		n.traceDelivery(p, at)
 	}
 	d := Delivery{Src: p.src, Dst: p.dst, Size: p.size, Flow: p.flow, Sent: p.sent, Arrived: at}

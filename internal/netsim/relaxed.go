@@ -496,7 +496,7 @@ func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Du
 func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time) {
 	size := p.size
 	fq.bytes += int64(size)
-	if telemetry.TraceEnabled() && telemetry.TraceSampleHit() {
+	if telemetry.TraceEnabled() && n.traceSample.Hit() {
 		n.traceDelivery(p, arrive)
 	}
 	n.packetsDelivered++

@@ -10,9 +10,10 @@ import (
 // Structured-trace emission for the network layer.  Every hook is guarded by
 // telemetry.TraceEnabled() at the call site, so a disabled tracer costs one
 // atomic load; high-rate delivery events additionally pass through the
-// deterministic sampling modulo (telemetry.TraceSampleHit).  Nothing here
-// touches simulation state or random streams — tracing a run cannot change
-// its schedule, only record it.
+// network's own deterministic sampler (Network.traceSample), so the traced
+// deliveries do not depend on what other simulations run beside it.  Nothing
+// here touches simulation state or random streams — tracing a run cannot
+// change its schedule, only record it.
 
 // tracePidFor lazily allocates the network's trace process id and names its
 // lanes: one trace process per Network, one thread per destination leaf.

@@ -214,9 +214,11 @@ type Kernel struct {
 	aux AuxQueue
 
 	// tracePid is this kernel's lane id in a structured trace, allocated on
-	// the first sampled emission (0 = none yet).  Purely observational: it
-	// exists only while a trace is being recorded.
-	tracePid int64
+	// the first sampled emission (0 = none yet), and traceSample picks which
+	// fired events are traced.  Purely observational: both are touched only
+	// while a trace is being recorded.
+	tracePid    int64
+	traceSample telemetry.Sampler
 }
 
 // NewKernel creates a kernel whose random streams derive from seed.
@@ -686,11 +688,11 @@ func (k *Kernel) step(deadline Time) bool {
 		k.now = e.at
 		k.curSeq = e.seq
 		k.stats.EventsFired++
-		if telemetry.TraceEnabled() && telemetry.TraceSampleHit() {
+		if telemetry.TraceEnabled() && k.traceSample.Hit() {
 			// Sampled kernel lane: one instant per kept event at its virtual
 			// firing time.  The guard is a single atomic load when no trace is
-			// active, and sampling is a deterministic counter modulo — the
-			// event schedule cannot depend on it.
+			// active, and sampling is this kernel's own countdown — the event
+			// schedule cannot depend on it.
 			if k.tracePid == 0 {
 				k.tracePid = telemetry.NextTracePid()
 				telemetry.EmitProcessName(k.tracePid, "sim kernel")

@@ -165,15 +165,21 @@ func TestTraceExport(t *testing.T) {
 	EmitThreadName(pid, 3, "leaf 3")
 	EmitSpan("sched", "j01-FFTW", pid, 3, 1_000, 2_500, map[string]any{"stretch": 1.2})
 	EmitInstant("fault", "down leaf0.up0", pid, 0, 2_000, nil)
-	kept := 0
-	for i := 0; i < 10; i++ {
-		if TraceSampleHit() {
-			kept++
+	// Two simulations' samplers count independently: each keeps its own 2nd,
+	// 4th, ... event however their calls interleave.
+	var a, b Sampler
+	var keptA, keptB []int
+	for i := 1; i <= 10; i++ {
+		if a.Hit() {
+			keptA = append(keptA, i)
 			EmitInstant("net", "deliver", pid, 1, int64(i)*100, nil)
 		}
+		if i%3 == 0 && b.Hit() {
+			keptB = append(keptB, i)
+		}
 	}
-	if kept != 5 {
-		t.Fatalf("sampling 1/2 kept %d of 10", kept)
+	if fmt.Sprint(keptA) != "[2 4 6 8 10]" || fmt.Sprint(keptB) != "[6]" {
+		t.Fatalf("sampling 1/2 kept calls %v and %v, want [2 4 6 8 10] and [6]", keptA, keptB)
 	}
 	if err := StopTrace(); err != nil {
 		t.Fatal(err)
@@ -200,7 +206,8 @@ func TestTraceDisabledIsCheap(t *testing.T) {
 	if TraceEnabled() {
 		t.Fatal("trace enabled with no active tracer")
 	}
-	if TraceSampleHit() {
+	var s Sampler
+	if s.Hit() {
 		t.Fatal("sample hit with no active tracer")
 	}
 	// Emissions without an active tracer must be silent no-ops.

@@ -14,13 +14,14 @@ import (
 // lifetimes and fault windows on the simulated clock, not the wall clock.
 //
 // The tracer is process-global and off by default; the fast path for every
-// instrumented site is a single atomic load (Enabled) plus, for sampled
-// categories, one atomic add (SampleHit).  Sampling is a deterministic
-// modulo on a global event counter — never a random draw, so tracing can
-// never perturb a simulation's RNG streams.  Each simulation emits from the
-// one goroutine that drives it, but concurrent campaign runs (-parallel)
-// interleave in wall execution order, so emission order across runs is not
-// deterministic; the simulated schedule the events describe still is.
+// instrumented site is a single atomic load (TraceEnabled).  High-rate
+// categories additionally pass through a Sampler, a plain countdown owned by
+// the simulation that emits them — never a random draw, so tracing can never
+// perturb a simulation's RNG streams, and never a counter shared across
+// runs, so the sampled set is the same whatever -parallel is.  Each
+// simulation emits from the one goroutine that drives it, but concurrent
+// campaign runs interleave in wall execution order, so emission order (and
+// pid numbering) across runs is not deterministic; the set of events is.
 
 // TraceEvent is one Chrome trace-event JSON record.
 type TraceEvent struct {
@@ -50,7 +51,6 @@ type tracer struct {
 	dst     io.Writer
 	events  []TraceEvent
 	every   int64
-	counter atomic.Int64
 	emitted *Counter
 	dropped *Counter
 }
@@ -63,8 +63,9 @@ var (
 
 // StartTrace arms the global tracer: subsequent Emit* calls buffer events,
 // and StopTrace writes them to w as one JSON document.  sampleEvery is the
-// sampling modulus for high-rate categories (EmitSampled callers): every
-// sampleEvery-th event is kept; values < 1 mean 1 (keep everything).
+// sampling period of every Sampler (the high-rate categories): every
+// sampleEvery-th event of each simulation is kept; values < 1 mean 1 (keep
+// everything).
 // Low-rate structural events (placements, fault windows) bypass sampling.
 // Starting while a trace is active replaces it without flushing (callers
 // pair Start/Stop).
@@ -108,18 +109,26 @@ func StopTrace() error {
 // disabled tracer costs one atomic load.
 func TraceEnabled() bool { return traceOn.Load() }
 
-// TraceSampleHit reports whether the next high-rate event should be kept:
-// true for every sampleEvery-th call while tracing is enabled.  The counter
-// is global across categories, which keeps the check one atomic add.
-func TraceSampleHit() bool {
-	if !traceOn.Load() {
-		return false
+// Sampler keeps every sampleEvery-th high-rate event of one simulation.
+// Each simulation owns its samplers and drives them from its one goroutine,
+// so a Sampler is a plain countdown with no atomics, and which events are
+// kept depends only on that simulation's own event sequence.  The zero value
+// is ready to use.
+type Sampler struct{ left int64 }
+
+// Hit reports whether the next high-rate event should be kept: true for
+// every sampleEvery-th call while a trace is active.  Callers check
+// TraceEnabled first, so a disabled tracer never reaches it.
+func (s *Sampler) Hit() bool {
+	if s.left == 0 {
+		t := activeTrace.Load()
+		if t == nil {
+			return false
+		}
+		s.left = t.every
 	}
-	t := activeTrace.Load()
-	if t == nil {
-		return false
-	}
-	return t.counter.Add(1)%t.every == 0
+	s.left--
+	return s.left == 0
 }
 
 // NextTracePid allocates a fresh trace process id.  Each simulation run (or
