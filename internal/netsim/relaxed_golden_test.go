@@ -99,8 +99,8 @@ func relaxedGoldenRun(t *testing.T, v relaxedGoldenVariant, wseed int64) string 
 	k.Run()
 	fmt.Fprintf(&trace, "end=%d\n", int64(k.Now()))
 	s := n.Stats()
-	fmt.Fprintf(&trace, "delivered=%d bytes=%d byclass=%v stalls=%d cutthrough=%d clamps=%d\n",
-		s.PacketsDelivered, s.BytesDelivered, s.BytesByClass, s.StallEvents, s.CutThroughEvents, s.LedgerClamps)
+	fmt.Fprintf(&trace, "delivered=%d bytes=%d byclass=%v stalls=%d clamps=%d\n",
+		s.PacketsDelivered, s.BytesDelivered, s.BytesByClass, s.StallEvents, s.LedgerClamps)
 	fmt.Fprintf(&trace, "trunks_failed=%d retransmits=%d reroutes=%d backoff=%d\n",
 		s.TrunksFailed, s.PacketsRetransmitted, s.RoutesRecomputed, s.RetryBackoffNs)
 	fmt.Fprintf(&trace, "uplink=%v\ndownlink=%v\ntrunks=%v\ntrunkbusy=%v\n",
@@ -122,32 +122,32 @@ func durations(ds []sim.Duration) []int64 {
 // indexed by workload seed 1..5.
 var relaxedGolden = map[string][5]string{
 	"star-tiny-buf": {
-		"568e0921c16cdd290d304791adb086d4b651b6f9352d520ac23c2580e3604a02",
-		"91529dc2f99520422ec3cf0383bf2b9d7d5661646f9c7f88b75e11dfcf5f4977",
-		"3326eba5ab84ffcf9ebfdb73745b234ef89e002c3ddf3858719038979ffbe83a",
-		"81eb9cc2a8734bdc7319a94373acbf104a80431e3df1971c13f09472c9467a0e",
-		"65db94e1cfe1ee9ed713381870e9c21b8b06feba616a9780c9414fca827e9d7c",
+		"93f5f4d67496bdcba3de13d6b92871ac09e408dd174c52789b7a9a523e49dd9e",
+		"56d49a1b64cd20df783aafe52acd2a035e1d0435a1617666a8b9d82e91dcff25",
+		"897f49308e7850b1cbba674960a864673decdd3e6b0712a8e08ea3bb26e5a36e",
+		"41eb7e452bb1e2f85f657669694714f34d616372f679a5974f339be137bbcbb5",
+		"fdeb596f96a4f82712d3f8d3d9fba87356812839b1edee65cd64f94ea39c6961",
 	},
 	"star-no-buf": {
-		"ab181306450a4ad5d386ddaf871fdff9bdc9ac60f4c0c3046fac85547550de7d",
-		"c8a8388f1505c150cb6c8dc8fe46e5af8a3465f0809a8c628c29a694149d26b7",
-		"cf149cdf512e7adc5e737aef302cb4b5c03b6b98b3f1cc498f66ccb15dab589e",
-		"8426109fc4c01a226870927508edbae35e4f948d8288b3f547a6930772cc9441",
-		"fe6614dcedbda3d6deef81a06f2ae2f834242530f7abe6e7f881e524d0b6cd03",
+		"1c9861e53718c703fd63de426a3c1a8785c7f66c039f8ac0fece9ced6ea85571",
+		"b9e2f3c96b8e1caf65139ee23a5e4b1ce5c2f2d674f9fa58ccc179bb89ae828e",
+		"26af06f62a2c736d21377cd5897f2a5a76fad8ecffd4b874d07da4e579286c50",
+		"1246da33313b82e8f052113256506d6e600989594ba9d0ced0d52caeae3a16c7",
+		"3c2544a828a723ef6f45a07a3f352e55bdc06f9418649ec9a7e7a9ffdead5704",
 	},
 	"fattree-tiny-buf": {
-		"ef84d979526c0e08fba14e77fedfda88c925585dd69f59568d7a33a06736d244",
-		"fbd001589965d6eba98365aec0e875af84c8f0ebfe2f426649dd7cafeb18bca8",
-		"68d6f96d5038acb2ff4cee5dcdc377d88a119aef9c10a08f5d86c1683a73d17a",
-		"90d52b39bf02f8fb936d6cb6a1ab44ccac603ce14c165151bf73f023322a9f90",
-		"effe82a8988eab54b30209b255a000cd607869558bc3be945df9a5539da5d62a",
+		"d83d9d5897756738a0588307d30026783ec2770e531d20bc105d8d76e80ae758",
+		"fb89eedc4d8595e9326cecff3e9b060c9eb28612e678a7d1c6c01be7af42c1b9",
+		"c7cf8dd0b2c0f299ca87f2f3b01ae6c3fd274cde4a275f3450024243229292d3",
+		"a272bdb19061e74a0137eb0736cd2f6071c37fcbd7683e162dc70e337d97a464",
+		"b31f3e008324ef8e11d90eb655b82a5344074230734163fe9c4bc664cb8af2ed",
 	},
 	"fattree-default-buf": {
-		"654ffd50cf31d6a67fa47cfb07df632a6d1be3fba5d9da257b9aaff1311f34d0",
-		"8601334bf3b7644f54883c89d39ec1756e93f2ec7d9c7f7783dafd42e3063efd",
-		"83614b4e62c5ff2c78224ac11f30167eb236d905da771fcccf94efa6011575aa",
-		"3d0750346400e3439167fd594ee4853c6ff5a726ca3f95385b41880824e53072",
-		"d0861cec9fe570a471abd28f81dd54c170ea136df2c6db6b366dbd0a027f9dda",
+		"335698e0ec2b91ee35d10dfe55681e788ccc1455cb60e19d6dafec55a1533b97",
+		"03f9c6637ac3b4dacf1b31363d412098105310fd735a905367c7da2efdb9b14b",
+		"0173b1fdabef70e2cef07cb27d1d90f078193d112b0719313c636820d1d68dd2",
+		"3331bfbf0255bec78c05a73c9a81cfd800518ca2812b4c3165ce13db292bdb96",
+		"3db2769be079f9f79debef2a884b6c9426a0531149af0877a213b81cad8ee71e",
 	},
 }
 

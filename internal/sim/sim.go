@@ -23,7 +23,6 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
 
 	"github.com/hpcperf/switchprobe/internal/telemetry"
@@ -36,11 +35,15 @@ import (
 // keyed on it are invalidated.
 //
 // Version 3 introduces the schedule-relaxed execution mode: the network
-// layer's deferred lane may commit pipeline work ahead of the clock (per-flow
-// random substreams, analytically fused route walks) instead of replaying the
+// layer may commit pipeline work ahead of the clock (per-flow random
+// substreams, analytically fused route walks) instead of replaying the
 // strict global (time, seq) interleaving.  The strict golden-oracle mode
 // still reproduces version-2 schedules byte-for-byte, but artifacts are keyed
 // on the mode, so the version bump invalidates every pre-relaxation cache.
+//
+// The version covers the order events fire in, not where they wait: moving
+// a client's events between a private queue and the kernel's without
+// changing their (time, seq) keys needs no bump.
 const KernelVersion = 3
 
 // Time is a point in virtual time, expressed in nanoseconds since the start
@@ -136,12 +139,6 @@ type Stats struct {
 	// FastPathEvents is the number of events that bypassed the timer heap
 	// through the same-instant FIFO ring.
 	FastPathEvents uint64
-	// EventsElided is the number of would-be events a client simulated
-	// analytically instead of scheduling (reported via NoteElided); the
-	// network layer's cut-through fast path is the main contributor.  The
-	// schedule is byte-identical with or without elision — only the kernel's
-	// bookkeeping cost changes.
-	EventsElided uint64
 	// ProcFastResumes is the number of non-parking fast paths a suspended
 	// activity (an MPI rank) took instead of posting its resume event: waits
 	// on already-complete operations, waits with zero pending requests, and
@@ -200,18 +197,13 @@ func (r *eventRing) pop() *Event {
 // concurrent use; all interaction must happen from the goroutine driving
 // Run/RunUntil or from code executed by the kernel itself (events).
 type Kernel struct {
-	now     Time
-	events  []heapEntry // 4-ary min-heap ordered by packed (at, seq) keys
-	nowq    eventRing
-	pool    []*Event
-	seq     uint64
-	curSeq  uint64
-	postGen uint64
-	seed    int64
-	stats   Stats
-
-	// aux is the attached deferred event lane, if any (see AuxQueue).
-	aux AuxQueue
+	now    Time
+	events []heapEntry // 4-ary min-heap ordered by packed (at, seq) keys
+	nowq   eventRing
+	pool   []*Event
+	seq    uint64
+	seed   int64
+	stats  Stats
 
 	// tracePid is this kernel's lane id in a structured trace, allocated on
 	// the first sampled emission (0 = none yet), and traceSample picks which
@@ -235,137 +227,26 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // Stats returns a snapshot of the kernel's activity counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// NoteElided records n events that a client executed through its own deferred
-// lane instead of scheduling them as kernel events.  It only feeds the
-// EventsElided statistic; it has no effect on execution.
-func (k *Kernel) NoteElided(n uint64) { k.stats.EventsElided += n }
-
 // NoteFastResume records one taken non-parking fast path: a wait on an
 // already-complete operation, a wait with zero pending requests, or a
 // zero-length compute resumed inline under the InstantIdle guard.  It only
 // feeds the ProcFastResumes statistic; it has no effect on execution.
 func (k *Kernel) NoteFastResume() { k.stats.ProcFastResumes++ }
 
-// AuxPeeker is optionally implemented by an AuxQueue that can report the
-// (time, seq) key of its earliest deferred entry.  InstantIdle consults it;
-// a lane that does not implement the method is conservatively treated as
-// possibly holding same-instant work.
-type AuxPeeker interface {
-	// PeekKey returns the key of the earliest deferred entry and whether one
-	// exists.
-	PeekKey() (Time, uint64, bool)
-}
-
 // InstantIdle reports whether nothing further is ordered at the current
-// instant: the same-instant ring is empty, the earliest heap event (if any)
-// lies strictly in the future, and the attached deferred lane (if any) holds
-// no entry at or before now.  When it holds, an event posted now would fire
-// as the very next action with no intervening work, so a client may instead
-// run its continuation inline: the only change to the schedule is that every
-// later sequence number shifts down by one — uniformly, which preserves all
-// relative (time, seq) orderings — and the resume event is saved.
-// Cancelled heap events and non-peekable lanes make the answer conservatively
+// instant: the same-instant ring is empty and the earliest heap event (if
+// any) lies strictly in the future.  When it holds, an event posted now
+// would fire as the very next action with no intervening work, so a client
+// may instead run its continuation inline: the only change to the schedule
+// is that every later sequence number shifts down by one — uniformly, which
+// preserves all relative (time, seq) orderings — and the resume event is
+// saved.  A cancelled heap event due now makes the answer conservatively
 // false.
 func (k *Kernel) InstantIdle() bool {
 	if k.nowq.n > 0 {
 		return false
 	}
-	if len(k.events) > 0 && k.events[0].e.at <= k.now {
-		return false
-	}
-	if k.aux != nil {
-		p, ok := k.aux.(AuxPeeker)
-		if !ok {
-			return false
-		}
-		if at, _, have := p.PeekKey(); have && at <= k.now {
-			return false
-		}
-	}
-	return true
-}
-
-// AllocSeq hands out the next event sequence number without scheduling
-// anything.  A client that runs its own deferred event lane (netsim's
-// cut-through path) stamps each lane entry with a real sequence number at the
-// moment it would have scheduled the event, so lane entries and kernel events
-// remain totally ordered by (time, seq) exactly as if every entry had been a
-// kernel event.  The allocation counts as a scheduled event in Stats.
-func (k *Kernel) AllocSeq() uint64 {
-	s := k.seq
-	k.seq++
-	k.stats.EventsScheduled++
-	return s
-}
-
-// NextSeq returns the sequence number the next scheduled event (or AllocSeq
-// call) will receive, without consuming it.  A deferred lane peeks it to
-// decide whether an entry still fits its packed-key range before allocating.
-func (k *Kernel) NextSeq() uint64 { return k.seq }
-
-// CurrentSeq returns the sequence number of the event being dispatched (0
-// before the first dispatch).  Together with Now it identifies the current
-// position in the global (time, seq) event order; a deferred lane drains
-// every entry ordered before this position before the caller may touch lane
-// state.
-func (k *Kernel) CurrentSeq() uint64 { return k.curSeq }
-
-// LaneDispatch is called by the attached deferred lane as it executes each
-// entry: it advances the kernel clock to the entry's timestamp and records
-// its sequence number as the current dispatch position.  Lane drains run in
-// global (time, seq) order between kernel dispatches, so the clock stays
-// monotonic and every callback run from the lane — completions, observers —
-// sees exactly the clock it would have seen as a kernel event.
-func (k *Kernel) LaneDispatch(at Time, seq uint64) {
-	if at > k.now {
-		k.now = at
-	}
-	k.curSeq = seq
-}
-
-// NextEventKey returns the (time, seq) key of the earliest scheduled event
-// and whether one exists.  Cancelled events are included (their key is a
-// conservative lower bound: the kernel will discard them and look again).
-// A deferred lane re-reads this every drained entry, because executing an
-// entry can schedule a real event that must run before the lane's next one.
-func (k *Kernel) NextEventKey() (Time, uint64, bool) {
-	var e *Event
-	if k.nowq.n > 0 {
-		e = k.nowq.peek()
-	}
-	if len(k.events) > 0 && (e == nil || eventLess(k.events[0].e, e)) {
-		e = k.events[0].e
-	}
-	if e == nil {
-		return 0, 0, false
-	}
-	return e.at, e.seq, true
-}
-
-// AuxQueue is a deferred event lane maintained by a client (netsim's
-// cut-through fast path).  The kernel gives the lane its turn in the global
-// (time, seq) event order: before dispatching an event — and before going
-// idle or stopping at a RunUntil deadline — it asks the lane to execute every
-// entry strictly ordered before the given position and not past the deadline.
-// Lane entries carry sequence numbers from AllocSeq, so "ordered before" is
-// the exact order the entries would have had as kernel events.
-type AuxQueue interface {
-	// DrainBefore executes deferred entries e with (e.at, e.seq) < (at, seq)
-	// and e.at <= deadline, in (at, seq) order, and reports whether any entry
-	// ran.  Draining may schedule new kernel events.
-	DrainBefore(at Time, seq uint64, deadline Time) bool
-}
-
-// SetAux attaches a deferred event lane to the kernel (nil detaches).  At
-// most one lane may be attached at a time; attaching over an existing lane
-// reports an error so two networks on one kernel fail loudly instead of
-// silently reordering each other.
-func (k *Kernel) SetAux(aux AuxQueue) error {
-	if aux != nil && k.aux != nil && k.aux != aux {
-		return fmt.Errorf("sim: kernel already has a deferred event lane attached")
-	}
-	k.aux = aux
-	return nil
+	return len(k.events) == 0 || k.events[0].e.at > k.now
 }
 
 // NewRand returns a deterministic random stream identified by name.  Streams
@@ -415,8 +296,8 @@ func eventLess(a, b *Event) bool {
 
 // heapEntry carries an event's packed (at, seq) ordering key beside its
 // pointer, so heap sifts compare contiguous uint64s instead of dereferencing
-// two Events per comparison.  Keys use the same 36/28-bit time/seq packing as
-// the network layer's deferred lane; the rare out-of-range event gets the
+// two Events per comparison.  Keys pack the time into the high 36 bits and
+// the sequence number into the low 28; the rare out-of-range event gets the
 // sentinel key and falls back to a full field comparison, preserving the
 // exact (at, seq) order in all cases.
 type heapEntry struct {
@@ -533,7 +414,6 @@ func (k *Kernel) enqueue(e *Event, t Time) {
 	e.at = t
 	e.seq = k.seq
 	k.seq++
-	k.postGen++
 	k.stats.EventsScheduled++
 	if t == k.now {
 		k.nowq.push(e)
@@ -542,12 +422,6 @@ func (k *Kernel) enqueue(e *Event, t Time) {
 	}
 	k.heapPush(e)
 }
-
-// PostGen returns a counter that changes whenever a real event is scheduled.
-// A deferred lane snapshots it to detect, without re-reading the queue heads,
-// whether executing an entry scheduled a kernel event that may now be ordered
-// before the lane's next entry.
-func (k *Kernel) PostGen() uint64 { return k.postGen }
 
 // At schedules fn to run at virtual time t and returns a cancellable handle.
 // Scheduling in the past is clamped to the current time.
@@ -635,12 +509,6 @@ func (k *Kernel) RunFor(d Duration) Time { return k.RunUntil(k.now.Add(d)) }
 // clock advances solely by firing heap events, which cannot happen while ring
 // events remain; comparing the two front events by (at, seq) therefore
 // reproduces the exact global ordering of a single queue.
-//
-// An attached deferred lane (AuxQueue) gets its turn first: before an event
-// is dispatched, every lane entry ordered before it executes, and before the
-// kernel goes idle or stops at the deadline, every remaining in-deadline lane
-// entry executes.  Lane drains can schedule new kernel events, so the loop
-// re-examines the queues after each drain that made progress.
 func (k *Kernel) step(deadline Time) bool {
 	for {
 		var e *Event
@@ -655,9 +523,6 @@ func (k *Kernel) step(deadline Time) bool {
 		} else if len(k.events) > 0 {
 			e = k.events[0].e
 		} else {
-			if k.aux != nil && k.aux.DrainBefore(maxTime, ^uint64(0), capDeadline(deadline)) {
-				continue
-			}
 			return false
 		}
 		if e.cancelled {
@@ -671,14 +536,7 @@ func (k *Kernel) step(deadline Time) bool {
 			continue
 		}
 		if deadline >= 0 && e.at > deadline {
-			if k.aux != nil && k.aux.DrainBefore(maxTime, ^uint64(0), deadline) {
-				continue
-			}
 			return false
-		}
-		if k.aux != nil && k.aux.DrainBefore(e.at, e.seq, capDeadline(deadline)) {
-			// The drain may have scheduled events ordered before e.
-			continue
 		}
 		if fromRing {
 			k.nowq.pop()
@@ -686,7 +544,6 @@ func (k *Kernel) step(deadline Time) bool {
 			k.heapPop()
 		}
 		k.now = e.at
-		k.curSeq = e.seq
 		k.stats.EventsFired++
 		if telemetry.TraceEnabled() && k.traceSample.Hit() {
 			// Sampled kernel lane: one instant per kept event at its virtual
@@ -710,25 +567,13 @@ func (k *Kernel) step(deadline Time) bool {
 	}
 }
 
-// maxTime is the far-future sentinel used for unbounded lane drains.
-const maxTime = Time(math.MaxInt64)
-
-// capDeadline translates step's "no deadline" sentinel (-1) into the lane's
-// far-future bound.
-func capDeadline(deadline Time) Time {
-	if deadline < 0 {
-		return maxTime
-	}
-	return deadline
-}
-
 // Shutdown ends a run whose activities never finish on their own (an
 // endless rank loop, a traffic generator): it cancels every pending ring and
-// heap event, counting each in Stats.EventsCancelled, so none of them fires
-// and their pooled structs return to the free list.  It must be called from
-// outside the kernel (not from an event).  An attached deferred lane keeps
-// its entries; a later Run drains them.  Calling Shutdown again cancels only
-// events scheduled since.
+// heap event — rank resumes and in-flight network events alike — counting
+// each in Stats.EventsCancelled, so none of them fires and their pooled
+// structs return to the free list.  It must be called from outside the
+// kernel (not from an event).  Calling Shutdown again cancels only events
+// scheduled since.
 func (k *Kernel) Shutdown() {
 	for _, he := range k.events {
 		k.stats.EventsCancelled++

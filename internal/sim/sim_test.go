@@ -383,208 +383,72 @@ func BenchmarkPooledEventScheduling(b *testing.B) {
 	}
 }
 
-// fakeLane is a minimal AuxQueue: deferred entries carrying real sequence
-// numbers, executed through the kernel's drain hook.
-type fakeLane struct {
-	k       *Kernel
-	entries []struct {
-		at  Time
-		seq uint64
-		fn  func(at Time)
+// TestInstantIdle pins the guard behind every inline zero-length compute
+// resume: it holds exactly when no event is ordered at the current instant.
+// A cancelled heap event due now still counts (the answer is conservative).
+func TestInstantIdle(t *testing.T) {
+	noop := func() {}
+	cases := []struct {
+		name string
+		// setup schedules the scenario, including probe, which samples
+		// InstantIdle when it fires.
+		setup func(k *Kernel, probe func())
+		want  bool
+	}{
+		{"nothing pending", func(k *Kernel, probe func()) { k.At(5, probe) }, true},
+		{"future heap event", func(k *Kernel, probe func()) {
+			k.At(5, probe)
+			k.At(9, noop)
+		}, true},
+		{"cancelled future heap event", func(k *Kernel, probe func()) {
+			k.At(5, probe)
+			k.At(9, noop).Cancel()
+		}, true},
+		{"same-instant ring event", func(k *Kernel, probe func()) {
+			k.At(5, func() {
+				k.Post(0, noop)
+				probe()
+			})
+		}, false},
+		{"heap event due now", func(k *Kernel, probe func()) {
+			k.At(5, probe)
+			k.At(5, noop)
+		}, false},
+		{"cancelled heap event due now", func(k *Kernel, probe func()) {
+			k.At(5, probe)
+			k.At(5, noop).Cancel()
+		}, false},
+		{"same-instant events already fired", func(k *Kernel, probe func()) {
+			k.At(5, noop)
+			k.At(5, func() { k.Post(0, probe) })
+			k.At(6, noop)
+		}, true},
 	}
-	drained int
-}
-
-func (f *fakeLane) add(at Time, fn func(Time)) {
-	f.entries = append(f.entries, struct {
-		at  Time
-		seq uint64
-		fn  func(at Time)
-	}{at, f.k.AllocSeq(), fn})
-}
-
-func (f *fakeLane) DrainBefore(at Time, seq uint64, deadline Time) bool {
-	ran := false
-	for {
-		// Executing an entry may schedule a real kernel event ordered before
-		// the remaining entries; tighten the limit like a real lane must.
-		if kat, kseq, ok := f.k.NextEventKey(); ok && (kat < at || (kat == at && kseq < seq)) {
-			at, seq = kat, kseq
-		}
-		best := -1
-		for i, e := range f.entries {
-			if e.at > deadline || !(e.at < at || (e.at == at && e.seq < seq)) {
-				continue
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel(1)
+			probed := 0
+			var idle bool
+			c.setup(k, func() {
+				probed++
+				idle = k.InstantIdle()
+			})
+			k.Run()
+			if probed != 1 {
+				t.Fatalf("probe ran %d times, want 1", probed)
 			}
-			if best < 0 || e.at < f.entries[best].at || (e.at == f.entries[best].at && e.seq < f.entries[best].seq) {
-				best = i
+			if idle != c.want {
+				t.Fatalf("InstantIdle = %v, want %v", idle, c.want)
 			}
-		}
-		if best < 0 {
-			return ran
-		}
-		e := f.entries[best]
-		f.entries = append(f.entries[:best], f.entries[best+1:]...)
-		f.k.LaneDispatch(e.at, e.seq)
-		f.k.NoteElided(1)
-		f.drained++
-		ran = true
-		if e.fn != nil {
-			e.fn(e.at)
-		}
+		})
 	}
-}
-
-func TestAuxQueueDrainOrdering(t *testing.T) {
+	// Outside any dispatch the same rules apply at the current clock.
 	k := NewKernel(1)
-	lane := &fakeLane{k: k}
-	if err := k.SetAux(lane); err != nil {
-		t.Fatal(err)
+	if !k.InstantIdle() {
+		t.Fatal("fresh kernel is not idle")
 	}
-	var order []string
-	k.At(10, func() { order = append(order, "evt10") })
-	k.At(30, func() { order = append(order, "evt30") })
-	// Lane entries interleaved between kernel events; one at 20 schedules a
-	// real event at 25, which must run before the lane entry at 27.
-	lane.add(5, func(at Time) {
-		order = append(order, "lane5")
-		if k.Now() != 5 {
-			t.Errorf("lane entry at 5 saw clock %d", int64(k.Now()))
-		}
-	})
-	lane.add(20, func(at Time) {
-		order = append(order, "lane20")
-		k.At(25, func() { order = append(order, "evt25") })
-	})
-	lane.add(27, func(at Time) { order = append(order, "lane27") })
-	k.Run()
-	want := "lane5,evt10,lane20,evt25,lane27,evt30"
-	got := ""
-	for i, s := range order {
-		if i > 0 {
-			got += ","
-		}
-		got += s
-	}
-	if got != want {
-		t.Fatalf("drain order = %s, want %s", got, want)
-	}
-	if st := k.Stats(); st.EventsElided != 3 {
-		t.Fatalf("EventsElided = %d, want 3", st.EventsElided)
-	}
-	if k.Now() != 30 {
-		t.Fatalf("final clock %d, want 30", int64(k.Now()))
-	}
-}
-
-func TestAuxQueueSameInstantTieBreak(t *testing.T) {
-	k := NewKernel(1)
-	lane := &fakeLane{k: k}
-	if err := k.SetAux(lane); err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	// Allocation order fixes the tie-break at t=10: kernel event first (its
-	// seq is allocated first), then the lane entry.
-	k.At(10, func() { order = append(order, "evt") })
-	lane.add(10, func(Time) { order = append(order, "lane") })
-	k.Run()
-	if len(order) != 2 || order[0] != "evt" || order[1] != "lane" {
-		t.Fatalf("tie-break order = %v, want [evt lane]", order)
-	}
-
-	k2 := NewKernel(1)
-	lane2 := &fakeLane{k: k2}
-	if err := k2.SetAux(lane2); err != nil {
-		t.Fatal(err)
-	}
-	order = nil
-	lane2.add(10, func(Time) { order = append(order, "lane") })
-	k2.At(10, func() { order = append(order, "evt") })
-	k2.Run()
-	if len(order) != 2 || order[0] != "lane" || order[1] != "evt" {
-		t.Fatalf("tie-break order = %v, want [lane evt]", order)
-	}
-}
-
-func TestAuxQueueRunUntilDeadline(t *testing.T) {
-	k := NewKernel(1)
-	lane := &fakeLane{k: k}
-	if err := k.SetAux(lane); err != nil {
-		t.Fatal(err)
-	}
-	var ran []int64
-	lane.add(10, func(at Time) { ran = append(ran, int64(at)) })
-	lane.add(50, func(at Time) { ran = append(ran, int64(at)) })
-	lane.add(90, func(at Time) { ran = append(ran, int64(at)) })
-	k.RunUntil(50)
-	if len(ran) != 2 || ran[0] != 10 || ran[1] != 50 {
-		t.Fatalf("in-deadline lane entries = %v, want [10 50]", ran)
-	}
-	if k.Now() != 50 {
-		t.Fatalf("clock after RunUntil = %d, want 50", int64(k.Now()))
-	}
-	// A later drive picks up the remaining entry.
-	k.RunUntil(100)
-	if len(ran) != 3 || ran[2] != 90 {
-		t.Fatalf("second window entries = %v, want trailing 90", ran)
-	}
-}
-
-func TestSetAuxExclusive(t *testing.T) {
-	k := NewKernel(1)
-	a, b := &fakeLane{k: k}, &fakeLane{k: k}
-	if err := k.SetAux(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.SetAux(b); err == nil {
-		t.Fatal("second SetAux should fail while the first lane is attached")
-	}
-	if err := k.SetAux(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.SetAux(b); err != nil {
-		t.Fatalf("SetAux after detach: %v", err)
-	}
-}
-
-func TestAllocSeqInterleavesWithEvents(t *testing.T) {
-	k := NewKernel(1)
-	s1 := k.AllocSeq()
-	k.Post(5, func() {})
-	s2 := k.AllocSeq()
-	if !(s1 < s2) {
-		t.Fatalf("AllocSeq not monotone: %d then %d", s1, s2)
-	}
-	at, seq, ok := k.NextEventKey()
-	if !ok || at != 5 || !(seq > s1 && seq < s2) {
-		t.Fatalf("NextEventKey = (%d, %d, %v), want event at 5 between %d and %d", int64(at), seq, ok, s1, s2)
-	}
-	if st := k.Stats(); st.EventsScheduled != 3 {
-		t.Fatalf("EventsScheduled = %d, want 3 (two allocations + one post)", st.EventsScheduled)
-	}
-}
-
-func TestPostGenChangesOnSchedule(t *testing.T) {
-	k := NewKernel(1)
-	g0 := k.PostGen()
-	_ = k.AllocSeq() // lane-side allocation: no real event, gen unchanged
-	if k.PostGen() != g0 {
-		t.Fatal("AllocSeq must not bump PostGen")
-	}
-	k.Post(1, func() {})
-	if k.PostGen() == g0 {
-		t.Fatal("scheduling a real event must bump PostGen")
-	}
-}
-
-func TestCurrentSeqTracksDispatch(t *testing.T) {
-	k := NewKernel(1)
-	var inside uint64
-	k.At(3, func() { inside = k.CurrentSeq() })
-	k.Run()
-	if inside != 0 {
-		// The first scheduled event has seq 0; CurrentSeq must report it.
-		t.Fatalf("CurrentSeq inside first event = %d, want 0", inside)
+	k.Post(0, noop)
+	if k.InstantIdle() {
+		t.Fatal("kernel with a ring event at now reports idle")
 	}
 }

@@ -48,10 +48,9 @@ type ProgressSnapshot struct {
 	TasksDone      int64   `json:"tasks_done"`
 	TasksPlanned   int64   `json:"tasks_planned"`
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// EventsFired/EventsElided mirror the registry's kernel counters at
-	// snapshot time; EventsPerSecond is their wall-clock rate since Start.
+	// EventsFired mirrors the registry's fired-events counter at snapshot
+	// time; EventsPerSecond is its wall-clock rate since Start.
 	EventsFired     int64   `json:"events_fired"`
-	EventsElided    int64   `json:"events_elided"`
 	EventsPerSecond float64 `json:"events_per_second"`
 }
 
@@ -61,7 +60,6 @@ func (p *Progress) Snapshot(r *Registry) ProgressSnapshot {
 		TasksDone:    p.done.Load(),
 		TasksPlanned: p.planned.Load(),
 		EventsFired:  r.CounterValue("swprobe_kernel_events_fired_total"),
-		EventsElided: r.CounterValue("swprobe_kernel_events_elided_total"),
 	}
 	if ph, ok := p.phase.Load().(string); ok {
 		s.Phase = ph
@@ -69,7 +67,7 @@ func (p *Progress) Snapshot(r *Registry) ProgressSnapshot {
 	if start := p.startNS.Load(); start > 0 {
 		s.ElapsedSeconds = time.Since(time.Unix(0, start)).Seconds()
 		if s.ElapsedSeconds > 0 {
-			s.EventsPerSecond = float64(s.EventsFired+s.EventsElided) / s.ElapsedSeconds
+			s.EventsPerSecond = float64(s.EventsFired) / s.ElapsedSeconds
 		}
 	}
 	return s
