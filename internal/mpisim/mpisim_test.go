@@ -268,6 +268,89 @@ func TestAnySourceAndAnyTag(t *testing.T) {
 	}
 }
 
+// TestReceiveMatchingOrder pins MPI's two matching rules, which the linear
+// scans in arrive and Irecv implement: an arriving message completes the
+// earliest-posted receive it matches, wildcard or not, and a receive takes
+// the earliest-arrived unexpected message it matches.
+func TestReceiveMatchingOrder(t *testing.T) {
+	t.Run("earliest posted receive", func(t *testing.T) {
+		m, w := testWorld(t, 1, 2, 1)
+		var wild, specific Status
+		w.LaunchProgram(func(r *Rank, done Cont) {
+			switch r.Rank() {
+			case 0:
+				a := r.Irecv(AnySource, AnyTag)
+				b := r.Irecv(1, 7)
+				r.WaitAllThen(func() {
+					wild, specific = a.status, b.status
+					done()
+				}, a, b)
+			case 1:
+				// Both messages match both receives; the first must
+				// complete the wildcard receive, posted first.
+				r.ComputeThen(50*sim.Microsecond, func() {
+					r.SendThen(0, 7, 100, func() { r.SendThen(0, 7, 200, done) })
+				})
+			default:
+				done()
+			}
+		})
+		m.Kernel().Run()
+		if !w.Done() {
+			t.Fatal("world did not finish")
+		}
+		if wild != (Status{Source: 1, Tag: 7, Size: 100}) || specific != (Status{Source: 1, Tag: 7, Size: 200}) {
+			t.Fatalf("wildcard receive got %+v and specific %+v; want sizes 100 then 200", wild, specific)
+		}
+	})
+	t.Run("earliest arrived unexpected message", func(t *testing.T) {
+		m, w := testWorld(t, 1, 2, 1)
+		var got []Status
+		w.LaunchProgram(func(r *Rank, done Cont) {
+			// Arrival order is rank 3 (tag 9), rank 1 (tag 5), rank 2
+			// (tag 5): neither the lowest source nor the lowest tag first.
+			send := func(delay sim.Duration, tag, size int) {
+				r.ComputeThen(delay, func() { r.SendThen(0, tag, size, done) })
+			}
+			switch r.Rank() {
+			case 0:
+				r.ComputeThen(500*sim.Microsecond, func() {
+					next := func(st Status) { got = append(got, st) }
+					recvStatusThen(r, AnySource, AnyTag, func(st Status) {
+						next(st)
+						recvStatusThen(r, AnySource, 5, func(st Status) {
+							next(st)
+							recvStatusThen(r, AnySource, AnyTag, func(st Status) {
+								next(st)
+								done()
+							})
+						})
+					})
+				})
+			case 3:
+				send(0, 9, 300)
+			case 1:
+				send(100*sim.Microsecond, 5, 100)
+			case 2:
+				send(200*sim.Microsecond, 5, 200)
+			}
+		})
+		m.Kernel().Run()
+		if !w.Done() {
+			t.Fatal("world did not finish")
+		}
+		want := []Status{{Source: 3, Tag: 9, Size: 300}, {Source: 1, Tag: 5, Size: 100}, {Source: 2, Tag: 5, Size: 200}}
+		if len(got) != len(want) {
+			t.Fatalf("received %+v, want %+v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("received %+v, want %+v", got, want)
+			}
+		}
+	})
+}
+
 func TestTagMatchingSelectsRightMessage(t *testing.T) {
 	m, w := testWorld(t, 1, 2, 1)
 	var first, second Status

@@ -12,8 +12,14 @@
 // and recycle them after firing, so steady-state scheduling allocates nothing.
 // Call/CallAt additionally carry a caller-supplied argument to the callback,
 // letting hot paths reuse one pre-bound callback instead of allocating a
-// closure per event.  Events scheduled for the current instant bypass the
-// timer heap entirely through a FIFO ring.
+// closure per event.
+//
+// Pending events wait in one of three structures, and every step fires the
+// (time, seq) minimum of their fronts.  Events scheduled for the current
+// instant take a FIFO ring.  Events due within 32.8 µs of the current
+// 128 ns bucket take a calendar queue: a fixed ring of time buckets, each a
+// sorted list, found through an occupancy bitmap, so scheduling and firing
+// one costs O(1).  Events further out wait in a 4-ary heap.
 //
 // The kernel is the substrate for the simulated cluster network, the MPI-like
 // runtime and the application workloads used to reproduce the active
@@ -23,6 +29,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 
 	"github.com/hpcperf/switchprobe/internal/telemetry"
@@ -42,8 +49,9 @@ import (
 // on the mode, so the version bump invalidates every pre-relaxation cache.
 //
 // The version covers the order events fire in, not where they wait: moving
-// a client's events between a private queue and the kernel's without
-// changing their (time, seq) keys needs no bump.
+// a client's events between a private queue and the kernel's, or between the
+// kernel's own ring, calendar and heap, without changing their (time, seq)
+// keys needs no bump.
 const KernelVersion = 3
 
 // Time is a point in virtual time, expressed in nanoseconds since the start
@@ -106,8 +114,11 @@ type Event struct {
 	fn  func()
 	// afn/arg are the argument-carrying callback form used by Call/CallAt;
 	// exactly one of fn and afn is set.
-	afn       func(any)
-	arg       any
+	afn func(any)
+	arg any
+	// next threads the event through its calendar bucket's list.  It sits
+	// before the two bools so the struct stays 64 bytes.
+	next      *Event
 	cancelled bool
 	// pooled events are recycled onto the kernel free list once popped; only
 	// handle-less events may be pooled, so a recycled struct can never be
@@ -136,7 +147,7 @@ type Stats struct {
 	// PoolReuses is the number of event structs served from the free list
 	// instead of the heap allocator (allocations avoided).
 	PoolReuses uint64
-	// FastPathEvents is the number of events that bypassed the timer heap
+	// FastPathEvents is the number of events that bypassed the timed queues
 	// through the same-instant FIFO ring.
 	FastPathEvents uint64
 	// ProcFastResumes is the number of non-parking fast paths a suspended
@@ -197,13 +208,13 @@ func (r *eventRing) pop() *Event {
 // concurrent use; all interaction must happen from the goroutine driving
 // Run/RunUntil or from code executed by the kernel itself (events).
 type Kernel struct {
-	now    Time
-	events []heapEntry // 4-ary min-heap ordered by packed (at, seq) keys
-	nowq   eventRing
-	pool   []*Event
-	seq    uint64
-	seed   int64
-	stats  Stats
+	now   Time
+	nowq  eventRing
+	far   []heapEntry // 4-ary min-heap of events beyond the calendar's span
+	pool  []*Event
+	seq   uint64
+	seed  int64
+	stats Stats
 
 	// tracePid is this kernel's lane id in a structured trace, allocated on
 	// the first sampled emission (0 = none yet), and traceSample picks which
@@ -211,6 +222,10 @@ type Kernel struct {
 	// while a trace is being recorded.
 	tracePid    int64
 	traceSample telemetry.Sampler
+
+	// cal comes last: its 4 KiB of buckets would otherwise separate the
+	// fields above, which every step touches, onto distant cache lines.
+	cal calendar
 }
 
 // NewKernel creates a kernel whose random streams derive from seed.
@@ -234,19 +249,22 @@ func (k *Kernel) Stats() Stats { return k.stats }
 func (k *Kernel) NoteFastResume() { k.stats.ProcFastResumes++ }
 
 // InstantIdle reports whether nothing further is ordered at the current
-// instant: the same-instant ring is empty and the earliest heap event (if
-// any) lies strictly in the future.  When it holds, an event posted now
-// would fire as the very next action with no intervening work, so a client
+// instant: the same-instant ring is empty and the earliest calendar and heap
+// events (if any) lie strictly in the future.  When it holds, an event posted
+// now would fire as the very next action with no intervening work, so a client
 // may instead run its continuation inline: the only change to the schedule
 // is that every later sequence number shifts down by one — uniformly, which
 // preserves all relative (time, seq) orderings — and the resume event is
-// saved.  A cancelled heap event due now makes the answer conservatively
-// false.
+// saved.  A cancelled event due now makes the answer conservatively false.
 func (k *Kernel) InstantIdle() bool {
 	if k.nowq.n > 0 {
 		return false
 	}
-	return len(k.events) == 0 || k.events[0].e.at > k.now
+	// Only now's own bucket can hold an event due now, and it sorts first.
+	if h := k.cal.b[slot(k.now)].head; h != nil && h.at == k.now {
+		return false
+	}
+	return len(k.far) == 0 || k.far[0].e.at > k.now
 }
 
 // NewRand returns a deterministic random stream identified by name.  Streams
@@ -261,11 +279,16 @@ func (k *Kernel) NewRand(name string) *rand.Rand {
 // Pending reports the number of scheduled, non-cancelled events.
 func (k *Kernel) Pending() int {
 	n := 0
-	for _, he := range k.events {
+	for _, he := range k.far {
 		if !he.e.cancelled {
 			n++
 		}
 	}
+	k.cal.each(func(e *Event) {
+		if !e.cancelled {
+			n++
+		}
+	})
 	for i := 0; i < k.nowq.n; i++ {
 		j := k.nowq.head + i
 		if j >= len(k.nowq.buf) {
@@ -278,12 +301,121 @@ func (k *Kernel) Pending() int {
 	return n
 }
 
-// --- event heap -------------------------------------------------------------
+// --- calendar queue ---------------------------------------------------------
 //
-// A manual 4-ary min-heap: container/heap's interface calls were a top
-// profile entry in packet-heavy simulations, and the wider node halves the
-// sift-down depth (the pop-heavy direction) while keeping all four children
-// of a node on one cache line pair.
+// Events due soon wait in a calendar queue (Brown, CACM 1988): a ring of
+// calBuckets buckets, each 1<<calWidthBits ns of virtual time wide and holding
+// an (at, seq)-sorted list threaded through Event.next.  A bit per bucket marks
+// the non-empty ones, and a summary bit per 64-bucket word marks the
+// non-empty words, so the earliest bucket is found in a few word operations.
+//
+// The kernel never schedules into its own past, and an event enters the
+// calendar only when it is due within calSpan of the start of the bucket
+// holding now, so every calendar event lies in [bucketStart(now),
+// bucketStart(now)+calSpan).  No two absolute buckets therefore share a slot,
+// and scanning the ring from now's slot visits buckets in time order.  The
+// bucket shape is set by measurement (docs/performance.md, "Kernel queue").
+
+const (
+	calWidthBits  = 7 // 128 ns buckets
+	calBucketBits = 8 // 256 of them: a 32.8 µs span
+	calBuckets    = 1 << calBucketBits
+	calSpan       = Time(calBuckets) << calWidthBits
+	calWords      = calBuckets / 64
+)
+
+type calBucket struct{ head, tail *Event }
+
+type calendar struct {
+	summary uint64           // bit w set when occ[w] != 0
+	occ     [calWords]uint64 // bit i%64 of occ[i/64] set when bucket i is non-empty
+	b       [calBuckets]calBucket
+}
+
+// slot returns the calendar bucket that holds time t.
+func slot(t Time) int { return int(t>>calWidthBits) & (calBuckets - 1) }
+
+// push files e in its bucket behind every event due no later: sequence
+// numbers only grow, so that is its (at, seq) place.
+func (c *calendar) push(e *Event) {
+	i := slot(e.at)
+	b := &c.b[i]
+	switch {
+	case b.head == nil:
+		b.head, b.tail = e, e
+		c.occ[i>>6] |= 1 << (i & 63)
+		c.summary |= 1 << (i >> 6)
+	case b.head.at>>calWidthBits != e.at>>calWidthBits:
+		panic(fmt.Sprintf("sim: calendar bucket holds %d and %d, a span or more apart", b.head.at, e.at))
+	case b.tail.at <= e.at:
+		b.tail.next = e
+		b.tail = e
+	case e.at < b.head.at:
+		e.next = b.head
+		b.head = e
+	default:
+		p := b.head
+		for p.next.at <= e.at {
+			p = p.next
+		}
+		e.next = p.next
+		p.next = e
+	}
+}
+
+// first returns the first non-empty bucket at or circularly after slot
+// from.  The calendar must not be empty.
+func (c *calendar) first(from int) int {
+	w := from >> 6
+	if m := c.occ[w] >> (from & 63); m != 0 {
+		return from + bits.TrailingZeros64(m)
+	}
+	// The words after w, else wrap round to the words before w and last to
+	// w's own buckets before from.
+	s := c.summary >> (w + 1) << (w + 1)
+	if s == 0 {
+		s = c.summary
+	}
+	w = bits.TrailingZeros64(s)
+	return w<<6 | bits.TrailingZeros64(c.occ[w])
+}
+
+// pop removes and returns the head of non-empty bucket i.
+func (c *calendar) pop(i int) *Event {
+	b := &c.b[i]
+	e := b.head
+	b.head = e.next
+	e.next = nil
+	if b.head == nil {
+		b.tail = nil
+		if c.occ[i>>6] &^= 1 << (i & 63); c.occ[i>>6] == 0 {
+			c.summary &^= 1 << (i >> 6)
+		}
+	}
+	return e
+}
+
+// each calls visit on every calendar event, in no particular order; visit
+// may unlink the event it is given.
+func (c *calendar) each(visit func(*Event)) {
+	for w, m := range c.occ {
+		for ; m != 0; m &= m - 1 {
+			for e := c.b[w<<6|bits.TrailingZeros64(m)].head; e != nil; {
+				next := e.next
+				visit(e)
+				e = next
+			}
+		}
+	}
+}
+
+// --- far heap ---------------------------------------------------------------
+//
+// Events beyond the calendar's span wait in a manual 4-ary min-heap:
+// container/heap's interface calls were a top profile entry in packet-heavy
+// simulations, and the wider node halves the sift-down depth (the pop-heavy
+// direction) while keeping all four children of a node on one cache line
+// pair.
 
 const heapArity = 4
 
@@ -306,32 +438,34 @@ type heapEntry struct {
 }
 
 const (
-	keySeqBits = 28
-	keyMaxAt   = Time(1)<<(64-keySeqBits) - 1
-	keyMaxSeq  = uint64(1)<<keySeqBits - 1
+	keySeqBits  = 28
+	keyMaxAt    = Time(1)<<(64-keySeqBits) - 1
+	keyMaxSeq   = uint64(1)<<keySeqBits - 1
+	keySentinel = ^uint64(0)
 )
 
 // eventKey packs (at, seq) into a single-compare ordering key, or the
 // sentinel when either component is out of packing range.
 func eventKey(at Time, seq uint64) uint64 {
 	if at > keyMaxAt || seq > keyMaxSeq {
-		return ^uint64(0)
+		return keySentinel
 	}
 	return uint64(at)<<keySeqBits | seq
 }
 
 // entryLess orders heap entries by packed key; keys are unique while in
-// packing range (seq is unique per kernel), so the field fallback only
-// breaks ties between sentinel-keyed entries.
+// packing range (seq is unique per kernel).  A sentinel says nothing about
+// where its event sorts (an overflowing seq can carry an early time), so any
+// comparison involving one falls back to the fields.
 func entryLess(a, b *heapEntry) bool {
-	if a.key != b.key {
-		return a.key < b.key
+	if a.key == keySentinel || b.key == keySentinel {
+		return eventLess(a.e, b.e)
 	}
-	return eventLess(a.e, b.e)
+	return a.key < b.key
 }
 
 func (k *Kernel) heapPush(e *Event) {
-	h := append(k.events, heapEntry{key: eventKey(e.at, e.seq), e: e})
+	h := append(k.far, heapEntry{key: eventKey(e.at, e.seq), e: e})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / heapArity
@@ -341,11 +475,11 @@ func (k *Kernel) heapPush(e *Event) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	k.events = h
+	k.far = h
 }
 
 func (k *Kernel) heapPop() *Event {
-	h := k.events
+	h := k.far
 	top := h[0].e
 	n := len(h) - 1
 	h[0] = h[n]
@@ -373,7 +507,7 @@ func (k *Kernel) heapPop() *Event {
 		h[i], h[best] = h[best], h[i]
 		i = best
 	}
-	k.events = h
+	k.far = h
 	return top
 }
 
@@ -406,7 +540,8 @@ func (k *Kernel) recycle(e *Event) {
 }
 
 // enqueue stamps and queues a prepared event.  Events for the current instant
-// take the FIFO ring; later events take the heap.
+// take the FIFO ring, events within the calendar's span take the calendar,
+// and later events take the far heap.
 func (k *Kernel) enqueue(e *Event, t Time) {
 	if t < k.now {
 		t = k.now
@@ -418,6 +553,10 @@ func (k *Kernel) enqueue(e *Event, t Time) {
 	if t == k.now {
 		k.nowq.push(e)
 		k.stats.FastPathEvents++
+		return
+	}
+	if t-k.now&^(1<<calWidthBits-1) < calSpan {
+		k.cal.push(e)
 		return
 	}
 	k.heapPush(e)
@@ -480,6 +619,13 @@ func (k *Kernel) Call(d Duration, fn func(any), arg any) {
 
 // --- execution --------------------------------------------------------------
 
+// Where step found the event it fires.
+const (
+	fromRing = iota
+	fromCalendar
+	fromFar
+)
+
 // Run executes events until the event queue is empty.  It returns the final
 // virtual time.
 func (k *Kernel) Run() Time {
@@ -506,42 +652,46 @@ func (k *Kernel) RunFor(d Duration) Time { return k.RunUntil(k.now.Add(d)) }
 // does not lie beyond the deadline.  It reports whether an event ran.
 //
 // The ring only ever holds events stamped at the current instant, and the
-// clock advances solely by firing heap events, which cannot happen while ring
-// events remain; comparing the two front events by (at, seq) therefore
-// reproduces the exact global ordering of a single queue.
+// clock advances solely by firing calendar and heap events, which cannot
+// happen while ring events remain; comparing the three front events by
+// (at, seq) therefore reproduces the exact global ordering of a single queue.
 func (k *Kernel) step(deadline Time) bool {
 	for {
 		var e *Event
-		fromRing := false
+		from := fromRing
+		i := 0
 		if k.nowq.n > 0 {
 			e = k.nowq.peek()
-			fromRing = true
-			if len(k.events) > 0 && eventLess(k.events[0].e, e) {
-				e = k.events[0].e
-				fromRing = false
+		}
+		if k.cal.summary != 0 {
+			i = k.cal.first(slot(k.now))
+			if c := k.cal.b[i].head; e == nil || eventLess(c, e) {
+				e, from = c, fromCalendar
 			}
-		} else if len(k.events) > 0 {
-			e = k.events[0].e
-		} else {
+		}
+		if len(k.far) > 0 {
+			if f := k.far[0].e; e == nil || eventLess(f, e) {
+				e, from = f, fromFar
+			}
+		}
+		if e == nil {
 			return false
 		}
+		if !e.cancelled && deadline >= 0 && e.at > deadline {
+			return false
+		}
+		switch from {
+		case fromRing:
+			k.nowq.pop()
+		case fromCalendar:
+			k.cal.pop(i)
+		default:
+			k.heapPop()
+		}
 		if e.cancelled {
-			if fromRing {
-				k.nowq.pop()
-			} else {
-				k.heapPop()
-			}
 			k.stats.EventsCancelled++
 			k.recycle(e)
 			continue
-		}
-		if deadline >= 0 && e.at > deadline {
-			return false
-		}
-		if fromRing {
-			k.nowq.pop()
-		} else {
-			k.heapPop()
 		}
 		k.now = e.at
 		k.stats.EventsFired++
@@ -568,23 +718,30 @@ func (k *Kernel) step(deadline Time) bool {
 }
 
 // Shutdown ends a run whose activities never finish on their own (an
-// endless rank loop, a traffic generator): it cancels every pending ring and
-// heap event — rank resumes and in-flight network events alike — counting
-// each in Stats.EventsCancelled, so none of them fires and their pooled
-// structs return to the free list.  It must be called from outside the
+// endless rank loop, a traffic generator): it cancels every pending event —
+// rank resumes and in-flight network events alike — counting each in
+// Stats.EventsCancelled, so none of them fires and their pooled structs
+// return to the free list.  It must be called from outside the
 // kernel (not from an event).  Calling Shutdown again cancels only events
 // scheduled since.
 func (k *Kernel) Shutdown() {
-	for _, he := range k.events {
-		k.stats.EventsCancelled++
-		he.e.cancelled = true
-		k.recycle(he.e)
+	for _, he := range k.far {
+		k.cancel(he.e)
 	}
-	k.events = k.events[:0]
+	k.far = k.far[:0]
+	k.cal.each(func(e *Event) {
+		e.next = nil
+		k.cancel(e)
+	})
+	k.cal = calendar{}
 	for k.nowq.n > 0 {
-		e := k.nowq.pop()
-		k.stats.EventsCancelled++
-		e.cancelled = true
-		k.recycle(e)
+		k.cancel(k.nowq.pop())
 	}
+}
+
+// cancel discards a pending event that Shutdown removed from its queue.
+func (k *Kernel) cancel(e *Event) {
+	k.stats.EventsCancelled++
+	e.cancelled = true
+	k.recycle(e)
 }

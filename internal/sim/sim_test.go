@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -150,16 +151,16 @@ func TestRunFor(t *testing.T) {
 }
 
 // TestShutdownBeforeFirstDispatch: Shutdown cancels every pending ring and
-// heap event, counts them, and none fires — neither on a later Run nor when a
-// spent At handle is cancelled again.
+// calendar event, counts them, and none fires — neither on a later Run nor
+// when a spent At handle is cancelled again.
 func TestShutdownBeforeFirstDispatch(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0
 	k.PostAt(0, func() { fired++ })         // ring
 	k.CallAt(0, func(any) { fired++ }, nil) // ring
-	k.Post(10, func() { fired++ })          // heap, pooled
-	h := k.At(20, func() { fired++ })       // heap, handle
-	k.Call(30, func(any) { fired++ }, nil)  // heap, pooled
+	k.Post(10, func() { fired++ })          // calendar, pooled
+	h := k.At(20, func() { fired++ })       // calendar, handle
+	k.Call(30, func(any) { fired++ }, nil)  // calendar, pooled
 	k.Shutdown()
 	if got := k.Stats().EventsCancelled; got != 5 {
 		t.Fatalf("cancelled = %d, want 5", got)
@@ -330,7 +331,7 @@ func TestPooledEventsFireExactlyOnceAcrossReuse(t *testing.T) {
 
 func TestSameTimeSchedulingPreservesFIFO(t *testing.T) {
 	// Events created for the current instant take the FIFO ring; events for
-	// the same timestamp created earlier sit in the heap.  The global
+	// the same timestamp created earlier sit in the calendar.  The global
 	// (time, seq) order must hold across both structures.
 	k := NewKernel(1)
 	var order []int
@@ -383,9 +384,64 @@ func BenchmarkPooledEventScheduling(b *testing.B) {
 	}
 }
 
+// kernelQueueMix is the horizon mix of the 8.38M timed events a serial cold
+// Table 1 campaign at the ci preset schedules: per mille of events due in
+// each [lo, hi) range of nanoseconds ahead (the far 1.4% reach 1 ms; here
+// they stop at 131 µs).  Same-instant events take the ring and are not in it.
+var kernelQueueMix = []struct {
+	permille int
+	lo, hi   Duration
+}{
+	{45, 1, 256},
+	{80, 256, 512},
+	{263, 512, 1024},
+	{163, 1024, 2048},
+	{343, 2048, 4096},
+	{44, 4096, 8192},
+	{1, 8192, 16384},
+	{47, 16384, 32768},
+	{14, 32768, 131072},
+}
+
+// BenchmarkKernelQueue prices one timed event at the queue depth and horizon
+// mix of a cold Table 1 campaign: 192 concurrent Post chains, each drawing
+// its next delay from kernelQueueMix.  One op is one event scheduled and
+// fired.
+func BenchmarkKernelQueue(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Duration, 4096)
+	for i := range delays {
+		r := rng.Intn(1000)
+		for _, m := range kernelQueueMix {
+			if r < m.permille {
+				delays[i] = m.lo + Duration(rng.Int63n(int64(m.hi-m.lo)))
+				break
+			}
+			r -= m.permille
+		}
+	}
+	k := NewKernel(1)
+	left, next := b.N, 0
+	var fire func()
+	fire = func() {
+		if left > 0 {
+			left--
+			next++
+			k.Post(delays[next&(len(delays)-1)], fire)
+		}
+	}
+	for i := 0; i < 192; i++ {
+		k.Post(delays[i], fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
 // TestInstantIdle pins the guard behind every inline zero-length compute
 // resume: it holds exactly when no event is ordered at the current instant.
-// A cancelled heap event due now still counts (the answer is conservative).
+// A cancelled event due now still counts (the answer is conservative).  The
+// case names say heap for the calendar and far heap alike.
 func TestInstantIdle(t *testing.T) {
 	noop := func() {}
 	cases := []struct {
