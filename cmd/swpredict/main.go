@@ -8,7 +8,7 @@
 //	          [-seed N] [-validate] [-topology star|fattree] [-leaves N]
 //	          [-uplinks N] [-placement pack|spread|random]
 //	          [-strict-order]
-//	          [-cache-dir DIR] [-no-cache]
+//	          [-cache-dir DIR]
 //	          [-fault-plan EVENTS] [-mtbf DUR -mttr DUR]
 //
 // With -cache-dir, measurement artifacts are served from (and persisted to)
@@ -58,7 +58,6 @@ func run(args []string) error {
 	uplinks := fs.Int("uplinks", 0, "fattree: uplinks per leaf to the spine (0 = one per node)")
 	placement := fs.String("placement", "pack", "application placement across leaves: pack, spread or random")
 	cacheDir := fs.String("cache-dir", "", "directory of the persistent artifact cache (empty = in-memory only)")
-	noCache := fs.Bool("no-cache", false, "disable the persistent artifact cache even when -cache-dir is set")
 	strictOrder := fs.Bool("strict-order", false, "run the strict golden-oracle event ordering instead of the relaxed engine (changes run fingerprints and cache keys)")
 	faultPlanStr := fs.String("fault-plan", "", "inject an explicit fault schedule into every run: comma-separated kind:trunk@offset[:factor] events (e.g. down:leaf0.up0@2ms,up:leaf0.up0@7ms)")
 	mtbf := fs.Duration("mtbf", 0, "mean virtual time between generated trunk failures (set together with -mttr)")
@@ -109,7 +108,7 @@ func run(args []string) error {
 		return err
 	}
 
-	eng, err := engine.Open(*cacheDir, *noCache)
+	eng, err := engine.New(*cacheDir)
 	if err != nil {
 		return err
 	}

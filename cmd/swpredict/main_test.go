@@ -27,11 +27,14 @@ func TestRunRejectsUnknownApplications(t *testing.T) {
 }
 
 // TestRunValidatesExecutionFlags: -workers is not a flag; each simulation
-// runs on one goroutine.
+// runs on one goroutine.  Nor is -no-cache: an empty -cache-dir (the
+// default) already runs memory-only.
 func TestRunValidatesExecutionFlags(t *testing.T) {
-	err := run([]string{"-preset", "ci", "-workers", "2"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -workers") {
-		t.Fatalf("-workers should be an unknown flag, got %v", err)
+	for _, args := range [][]string{{"-workers", "2"}, {"-no-cache"}} {
+		err := run(append([]string{"-preset", "ci"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s should be an unknown flag, got %v", args[0], err)
+		}
 	}
 }
 

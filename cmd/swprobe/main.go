@@ -7,7 +7,7 @@
 //	swprobe -exp fig3|fig6|fig7|table1|fig8|fig9|all|xswitch|sched|faults [-preset paper|default|ci]
 //	        [-seed N] [-parallel N] [-csv DIR]
 //	        [-strict-order]
-//	        [-cache-dir DIR] [-no-cache]
+//	        [-cache-dir DIR]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	        [-topology star|fattree] [-leaves N] [-uplinks N]
 //	        [-placement pack|spread|random] [-target APP] [-corunner APP]
@@ -59,8 +59,7 @@
 // With -cache-dir, every simulation run's artifact is persisted to a
 // content-addressed store keyed by its RunSpec hash; a warm re-run of the
 // same campaign executes zero simulations and reproduces byte-identical
-// output.  -no-cache disables the persistent store (runs are still memoized
-// in-process).
+// output.  Without it runs are memoized in-process only.
 //
 // Example:
 //
@@ -107,7 +106,6 @@ func run(args []string, out *os.File) (err error) {
 	parallel := fs.Int("parallel", 0, "max concurrent simulation runs (0 = all CPUs)")
 	csvDir := fs.String("csv", "", "directory to write CSV files into (optional)")
 	cacheDir := fs.String("cache-dir", "", "directory of the persistent artifact cache (empty = in-memory only)")
-	noCache := fs.Bool("no-cache", false, "disable the persistent artifact cache even when -cache-dir is set")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the campaign) to this file")
 	topology := fs.String("topology", "star", "network topology: star or fattree")
@@ -201,7 +199,7 @@ func run(args []string, out *os.File) (err error) {
 		}
 	}
 
-	eng, err := engine.Open(*cacheDir, *noCache)
+	eng, err := engine.New(*cacheDir)
 	if err != nil {
 		return err
 	}

@@ -159,8 +159,9 @@ func TestWarmCacheByteIdentity(t *testing.T) {
 	}
 }
 
-// TestNoCacheMatchesCachedRun: disabling the store must not change results —
-// the live path and the cached path stay byte-identical.
+// TestNoCacheMatchesCachedRun: running without a store must not change
+// results — a memory-only run and a run through a persistent store stay
+// byte-identical.
 func TestNoCacheMatchesCachedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end CLI runs are slow; skipped in -short mode")
@@ -175,7 +176,7 @@ func TestNoCacheMatchesCachedRun(t *testing.T) {
 	if err := run([]string{"-preset", "ci", "-exp", "fig3", "-csv", cachedDir, "-cache-dir", cache}, devnull); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-preset", "ci", "-exp", "fig3", "-csv", liveDir, "-cache-dir", cache, "-no-cache"}, devnull); err != nil {
+	if err := run([]string{"-preset", "ci", "-exp", "fig3", "-csv", liveDir}, devnull); err != nil {
 		t.Fatal(err)
 	}
 	cached, err := os.ReadFile(filepath.Join(cachedDir, "fig3.csv"))
@@ -187,7 +188,7 @@ func TestNoCacheMatchesCachedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(cached) != string(live) {
-		t.Fatal("fig3.csv differs between cached and -no-cache runs")
+		t.Fatal("fig3.csv differs between cached and memory-only runs")
 	}
 }
 
@@ -295,12 +296,14 @@ func TestRunSchedEndToEnd(t *testing.T) {
 
 // TestRunValidatesExecutionFlags: -workers is not a flag; each simulation
 // runs on one goroutine, and -parallel is the one concurrency flag.  Nor are
-// -blockprofile and -mutexprofile: -listen's /debug/pprof serves both.
+// -blockprofile and -mutexprofile: -listen's /debug/pprof serves both.  Nor
+// is -no-cache: an empty -cache-dir (the default) already runs memory-only.
 func TestRunValidatesExecutionFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workers", "2"},
 		{"-blockprofile", "block.out"},
 		{"-mutexprofile", "mutex.out"},
+		{"-no-cache"},
 	} {
 		err := run(append([]string{"-preset", "ci", "-exp", "fig3"}, args...), os.Stdout)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {

@@ -369,17 +369,6 @@ func (o Options) phaseUtilizations(c *probe.Collector, cal Calibration) ([]Phase
 	return out, nil
 }
 
-// Calibrate measures the idle switch with ImpactB alone and derives the
-// M/G/1 service model (µ from the mean idle latency, Var(S) from its
-// variance), mirroring the paper's idle-switch calibration.
-func Calibrate(o Options) (Calibration, error) {
-	art, err := ExecuteSpec(CalibrateSpec(o), nil)
-	if err != nil {
-		return Calibration{}, err
-	}
-	return *art.Calibration, nil
-}
-
 // runCalibrate is the live calibration run behind RunCalibrate specs.
 func runCalibrate(o Options) (Calibration, error) {
 	k, m, err := o.newMachine("calibrate")
@@ -557,22 +546,6 @@ func (ar *appRun) runtime(o Options) (Runtime, error) {
 	}, nil
 }
 
-// MeasureAppImpact runs ImpactB while the application runs and returns the
-// application's impact signature (the paper's Fig. 3 measurement).
-func MeasureAppImpact(o Options, cal Calibration, app workload.App) (Signature, error) {
-	return MeasureAppImpactSlot(o, cal, app, SlotAll)
-}
-
-// MeasureAppImpactSlot is MeasureAppImpact with the application restricted
-// to one half of the machine (the probe still spans every node).
-func MeasureAppImpactSlot(o Options, cal Calibration, app workload.App, slot Slot) (Signature, error) {
-	art, err := ExecuteSpec(AppImpactSpec(o, app, slot), &cal)
-	if err != nil {
-		return Signature{}, err
-	}
-	return *art.Signature, nil
-}
-
 // runAppImpact is the live measurement run behind RunAppImpact specs.
 func runAppImpact(o Options, cal Calibration, app workload.App, slot Slot) (Signature, error) {
 	k, m, err := o.newMachine(o.slotLabel("impact", slot, app.Name()))
@@ -588,17 +561,6 @@ func runAppImpact(o Options, cal Calibration, app workload.App, slot Slot) (Sign
 	}
 	runWindow(k, m.Network(), o.Window)
 	return o.signatureFrom(app.Name(), pr.Collector(), &cal)
-}
-
-// MeasureInjectorImpact runs ImpactB while a CompressionB configuration runs
-// and returns the configuration's impact signature (the measurement behind
-// the paper's Fig. 6).
-func MeasureInjectorImpact(o Options, cal Calibration, cfg inject.Config) (Signature, error) {
-	art, err := ExecuteSpec(InjectorImpactSpec(o, cfg), &cal)
-	if err != nil {
-		return Signature{}, err
-	}
-	return *art.Signature, nil
 }
 
 // runInjectorImpact is the live measurement run behind RunInjectorImpact
@@ -619,23 +581,6 @@ func runInjectorImpact(o Options, cal Calibration, cfg inject.Config) (Signature
 	return o.signatureFrom(cfg.Label(), pr.Collector(), &cal)
 }
 
-// MeasureAppBaseline measures an application's iteration rate with the switch
-// to itself.
-func MeasureAppBaseline(o Options, app workload.App) (Runtime, error) {
-	return MeasureAppBaselineSlot(o, app, SlotAll)
-}
-
-// MeasureAppBaselineSlot is MeasureAppBaseline with the application
-// restricted to one half of the machine, the baseline every placed co-run
-// measurement is judged against.
-func MeasureAppBaselineSlot(o Options, app workload.App, slot Slot) (Runtime, error) {
-	art, err := ExecuteSpec(BaselineSpec(o, app, slot), nil)
-	if err != nil {
-		return Runtime{}, err
-	}
-	return *art.Runtime, nil
-}
-
 // runBaseline is the live measurement run behind RunBaseline specs.
 func runBaseline(o Options, app workload.App, slot Slot) (Runtime, error) {
 	k, m, err := o.newMachine(o.slotLabel("baseline", slot, app.Name()))
@@ -648,24 +593,6 @@ func runBaseline(o Options, app workload.App, slot Slot) (Runtime, error) {
 	}
 	runWindow(k, m.Network(), o.Window)
 	return ar.runtime(o)
-}
-
-// MeasureAppUnderInjector measures an application's iteration rate while a
-// CompressionB configuration removes part of the switch capability (the
-// paper's compression experiment, Fig. 7).
-func MeasureAppUnderInjector(o Options, app workload.App, cfg inject.Config) (Runtime, error) {
-	return MeasureAppUnderInjectorSlot(o, app, cfg, SlotAll)
-}
-
-// MeasureAppUnderInjectorSlot is MeasureAppUnderInjector with the
-// application restricted to one half of the machine (the injector still
-// spans every node, removing capability fabric-wide).
-func MeasureAppUnderInjectorSlot(o Options, app workload.App, cfg inject.Config, slot Slot) (Runtime, error) {
-	art, err := ExecuteSpec(CompressSpec(o, app, cfg, slot), nil)
-	if err != nil {
-		return Runtime{}, err
-	}
-	return *art.Runtime, nil
 }
 
 // runCompress is the live measurement run behind RunCompress specs.
@@ -683,31 +610,6 @@ func runCompress(o Options, app workload.App, cfg inject.Config, slot Slot) (Run
 	}
 	runWindow(k, m.Network(), o.Window)
 	return ar.runtime(o)
-}
-
-// MeasureAppPair measures the iteration rates of two applications sharing the
-// switch (the ground truth of the paper's Table I).  Both run in continuous
-// loops for the whole window.
-func MeasureAppPair(o Options, appA, appB workload.App) (Runtime, Runtime, error) {
-	return executePair(PairSpec(o, appA, appB, false))
-}
-
-// MeasureAppPairPlaced measures a co-run with each application restricted to
-// one half of the machine's placement-policy node order: appA in SlotA, appB
-// in SlotB.  On a multi-leaf topology this is the cross-switch ground truth —
-// pack keeps the two jobs on disjoint leaves, spread interleaves both across
-// every leaf so they contend on the spine trunks.
-func MeasureAppPairPlaced(o Options, appA, appB workload.App) (Runtime, Runtime, error) {
-	return executePair(PairSpec(o, appA, appB, true))
-}
-
-// executePair unpacks a pair spec's two runtimes.
-func executePair(spec RunSpec) (Runtime, Runtime, error) {
-	art, err := ExecuteSpec(spec, nil)
-	if err != nil {
-		return Runtime{}, Runtime{}, err
-	}
-	return *art.Runtime, *art.RuntimeB, nil
 }
 
 // runPair is the live measurement run behind unplaced RunPair specs.
@@ -751,37 +653,11 @@ func measureAppPair(o Options, label string, appA, appB workload.App, slotA, slo
 	return ra, rb, nil
 }
 
-// BuildProfile measures an application's compression profile over the given
-// injector configurations.  Injector signatures (for utilization and the
-// look-up-table keys) are measured once per configuration; pass them in via
-// injSignatures when already available (keyed by Config.Label()), otherwise
-// they are measured here.
-func BuildProfile(o Options, cal Calibration, app workload.App, grid []inject.Config,
-	injSignatures map[string]Signature) (Profile, error) {
-	return BuildProfileSlot(o, cal, app, grid, injSignatures, SlotAll)
-}
-
-// BuildProfileSlot is BuildProfile with the application restricted to one
-// half of the machine; injector signatures are slot-independent (the
-// injector spans every node) and can be shared across slots and placements.
-func BuildProfileSlot(o Options, cal Calibration, app workload.App, grid []inject.Config,
-	injSignatures map[string]Signature, slot Slot) (Profile, error) {
-	return AssembleProfile(func(spec RunSpec) (Artifact, error) {
-		if spec.Kind == RunInjectorImpact {
-			if sig, ok := injSignatures[spec.Injector.Label()]; ok {
-				return Artifact{Signature: &sig}, nil
-			}
-			return ExecuteSpec(spec, &cal)
-		}
-		return ExecuteSpec(spec, nil)
-	}, o, app, grid, slot)
-}
-
 // AssembleProfile builds an application's compression profile by requesting
 // every needed run — the slot baseline, each grid configuration's injector
 // signature and the application's compressed runtime — through the given
-// executor.  It is the single assembly implementation shared by the direct
-// (live) path above and the engine's cached path.
+// executor.  It is the single assembly implementation, shared by the
+// library facade's live path and the engine's cached path.
 func AssembleProfile(run func(RunSpec) (Artifact, error), o Options, app workload.App,
 	grid []inject.Config, slot Slot) (Profile, error) {
 	art, err := run(BaselineSpec(o, app, slot))

@@ -94,11 +94,24 @@ func TestProfileDegradationAt(t *testing.T) {
 	}
 }
 
-func TestCalibrate(t *testing.T) {
-	cal, err := Calibrate(TestOptions())
+// execute runs spec live, failing the test on error.
+func execute(t *testing.T, spec RunSpec, cal *Calibration) Artifact {
+	t.Helper()
+	art, err := ExecuteSpec(spec, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return art
+}
+
+// calibrate measures the idle switch under o.
+func calibrate(t *testing.T, o Options) Calibration {
+	t.Helper()
+	return *execute(t, CalibrateSpec(o), nil).Calibration
+}
+
+func TestCalibrate(t *testing.T) {
+	cal := calibrate(t, TestOptions())
 	meanMicros := cal.Idle.Mean * 1e6
 	if meanMicros < 0.9 || meanMicros > 2.5 {
 		t.Fatalf("idle mean %.3f µs outside the expected Cab-like band", meanMicros)
@@ -121,7 +134,7 @@ func TestCalibrate(t *testing.T) {
 func TestSignatureTooFewSamples(t *testing.T) {
 	o := TestOptions()
 	o.Window = 300 * sim.Microsecond // far too short for MinProbeSamples
-	_, err := Calibrate(o)
+	_, err := ExecuteSpec(CalibrateSpec(o), nil)
 	if err == nil || !strings.Contains(err.Error(), "probe samples") {
 		t.Fatalf("expected too-few-samples error, got %v", err)
 	}
@@ -129,18 +142,9 @@ func TestSignatureTooFewSamples(t *testing.T) {
 
 func TestInjectorUtilizationOrdering(t *testing.T) {
 	o := TestOptions()
-	cal, err := Calibrate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	light, err := MeasureInjectorImpact(o, cal, inject.NewConfig(1, 1, 2.5e7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavy, err := MeasureInjectorImpact(o, cal, inject.NewConfig(7, 10, 2.5e4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := calibrate(t, o)
+	light := *execute(t, InjectorImpactSpec(o, inject.NewConfig(1, 1, 2.5e7)), &cal).Signature
+	heavy := *execute(t, InjectorImpactSpec(o, inject.NewConfig(7, 10, 2.5e4)), &cal).Signature
 	if heavy.UtilizationPct <= light.UtilizationPct {
 		t.Fatalf("heavy injector utilization (%.1f%%) not above light (%.1f%%)",
 			heavy.UtilizationPct, light.UtilizationPct)
@@ -161,22 +165,13 @@ func TestAppBaselineAndSignature(t *testing.T) {
 		t.Skip("full baseline+signature campaign is slow; skipped in -short mode")
 	}
 	o := TestOptions()
-	cal, err := Calibrate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := calibrate(t, o)
 	fftw := workload.NewFFTW(o.Scale)
-	base, err := MeasureAppBaseline(o, fftw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := *execute(t, BaselineSpec(o, fftw, SlotAll), nil).Runtime
 	if base.Iterations < o.MinIterations || base.TimePerIteration <= 0 {
 		t.Fatalf("bad baseline %+v", base)
 	}
-	sig, err := MeasureAppImpact(o, cal, fftw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig := *execute(t, AppImpactSpec(o, fftw, SlotAll), &cal).Signature
 	if sig.Component != "FFTW" {
 		t.Fatalf("component = %q", sig.Component)
 	}
@@ -199,22 +194,10 @@ func TestCompressionDegradationOrdering(t *testing.T) {
 	mcb := workload.NewMCB(o.Scale)
 	heavy := inject.NewConfig(7, 10, 2.5e4)
 
-	baseFFTW, err := MeasureAppBaseline(o, fftw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degFFTW, err := MeasureAppUnderInjector(o, fftw, heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseMCB, err := MeasureAppBaseline(o, mcb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degMCB, err := MeasureAppUnderInjector(o, mcb, heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseFFTW := *execute(t, BaselineSpec(o, fftw, SlotAll), nil).Runtime
+	degFFTW := *execute(t, CompressSpec(o, fftw, heavy, SlotAll), nil).Runtime
+	baseMCB := *execute(t, BaselineSpec(o, mcb, SlotAll), nil).Runtime
+	degMCB := *execute(t, CompressSpec(o, mcb, heavy, SlotAll), nil).Runtime
 	dFFTW := DegradationPercent(baseFFTW, degFFTW)
 	dMCB := DegradationPercent(baseMCB, degMCB)
 	if dFFTW < 20 {
@@ -231,14 +214,9 @@ func TestMeasureAppPairSelfCoRun(t *testing.T) {
 	}
 	o := TestOptions()
 	fftw := workload.NewFFTW(o.Scale)
-	base, err := MeasureAppBaseline(o, fftw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb, err := MeasureAppPair(o, fftw, fftw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := *execute(t, BaselineSpec(o, fftw, SlotAll), nil).Runtime
+	pair := execute(t, PairSpec(o, fftw, fftw, false), nil)
+	ra, rb := *pair.Runtime, *pair.RuntimeB
 	if ra.App != "FFTW" || rb.App != "FFTW" {
 		t.Fatalf("apps = %q/%q", ra.App, rb.App)
 	}
@@ -256,15 +234,13 @@ func TestBuildProfile(t *testing.T) {
 		t.Skip("profile campaign is slow; skipped in -short mode")
 	}
 	o := TestOptions()
-	cal, err := Calibrate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := calibrate(t, o)
 	grid := []inject.Config{
 		inject.NewConfig(1, 1, 2.5e7),
 		inject.NewConfig(7, 10, 2.5e4),
 	}
-	prof, err := BuildProfile(o, cal, workload.NewMILC(o.Scale), grid, nil)
+	live := func(spec RunSpec) (Artifact, error) { return ExecuteSpec(spec, &cal) }
+	prof, err := AssembleProfile(live, o, workload.NewMILC(o.Scale), grid, SlotAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,19 +259,20 @@ func TestBuildProfile(t *testing.T) {
 	}
 }
 
+// TestBuildProfileReusesSignatures: AssembleProfile takes each injector
+// signature from its executor, so one the caller already holds is reused.
 func TestBuildProfileReusesSignatures(t *testing.T) {
 	o := TestOptions()
-	cal, err := Calibrate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := calibrate(t, o)
 	cfg := inject.NewConfig(1, 1, 2.5e6)
-	sig, err := MeasureInjectorImpact(o, cal, cfg)
-	if err != nil {
-		t.Fatal(err)
+	sig := *execute(t, InjectorImpactSpec(o, cfg), &cal).Signature
+	reuse := func(spec RunSpec) (Artifact, error) {
+		if spec.Kind == RunInjectorImpact {
+			return Artifact{Signature: &sig}, nil
+		}
+		return ExecuteSpec(spec, nil)
 	}
-	prof, err := BuildProfile(o, cal, workload.NewMCB(o.Scale), []inject.Config{cfg},
-		map[string]Signature{cfg.Label(): sig})
+	prof, err := AssembleProfile(reuse, o, workload.NewMCB(o.Scale), []inject.Config{cfg}, SlotAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,14 +291,8 @@ func TestMeanStdInterval(t *testing.T) {
 
 func TestDeterministicMeasurements(t *testing.T) {
 	o := TestOptions()
-	a, err := MeasureAppBaseline(o, workload.NewAMG(o.Scale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MeasureAppBaseline(o, workload.NewAMG(o.Scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := *execute(t, BaselineSpec(o, workload.NewAMG(o.Scale), SlotAll), nil).Runtime
+	b := *execute(t, BaselineSpec(o, workload.NewAMG(o.Scale), SlotAll), nil).Runtime
 	if a.TimePerIteration != b.TimePerIteration || a.Iterations != b.Iterations {
 		t.Fatalf("non-deterministic baseline: %+v vs %+v", a, b)
 	}

@@ -11,14 +11,8 @@ func TestPhaseUtilizationsInSignature(t *testing.T) {
 		t.Skip("phase-resolved campaign is slow; skipped in -short mode")
 	}
 	o := TestOptions()
-	cal, err := Calibrate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := MeasureAppImpact(o, cal, workload.NewMILC(o.Scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := calibrate(t, o)
+	sig := *execute(t, AppImpactSpec(o, workload.NewMILC(o.Scale), SlotAll), &cal).Signature
 	if len(sig.Phases) == 0 {
 		t.Fatal("expected phase-resolved utilization data")
 	}
@@ -50,14 +44,8 @@ func TestPhaseUtilizationsInSignature(t *testing.T) {
 func TestPhaseResolutionDisabled(t *testing.T) {
 	o := TestOptions()
 	o.PhaseWindows = 0
-	cal, err := Calibrate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := MeasureAppImpact(o, cal, workload.NewMCB(o.Scale))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := calibrate(t, o)
+	sig := *execute(t, AppImpactSpec(o, workload.NewMCB(o.Scale), SlotAll), &cal).Signature
 	if len(sig.Phases) != 0 {
 		t.Fatalf("phases should be absent when disabled, got %d", len(sig.Phases))
 	}
@@ -79,18 +67,12 @@ func TestPhasedAppShowsUtilizationVariation(t *testing.T) {
 	// AMG alternates communication-heavy V-cycles with long dense phases, so
 	// its per-window utilization should vary more than the idle switch's.
 	o := TestOptions()
-	cal, err := Calibrate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := calibrate(t, o)
 	amg := workload.NewAMG(o.Scale)
 	// Make the dense phase long and frequent so phases clearly alternate
 	// within the short CI window.
 	amg.DensePhaseInterval = 2
-	sig, err := MeasureAppImpact(o, cal, amg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig := *execute(t, AppImpactSpec(o, amg, SlotAll), &cal).Signature
 	if len(sig.Phases) < 2 {
 		t.Skipf("not enough phases to compare (%d)", len(sig.Phases))
 	}

@@ -103,16 +103,6 @@ func New(cacheDir string) (*Engine, error) {
 	return e, nil
 }
 
-// Open resolves the CLI cache flags: it returns a persistent engine for
-// cacheDir unless disabled (-no-cache) or cacheDir is empty, in which case
-// the engine is memory-only.
-func Open(cacheDir string, disabled bool) (*Engine, error) {
-	if disabled {
-		cacheDir = ""
-	}
-	return New(cacheDir)
-}
-
 // MustNew is New that panics on error; intended for tests and memory-only
 // engines (which cannot fail).
 func MustNew(cacheDir string) *Engine {

@@ -247,8 +247,8 @@ func (spec FaultsSpec) faultPlanFor(faultCase string, lay netsim.Layout, window 
 // schedHealthFor maps a fault case onto a deterministic leaf-health
 // timeline: the job-level proxy of what the packet level simulates.  The
 // affected leaf (leaf 0 for the built-in cases, the first failed trunk's
-// leaf for custom plans) is degraded — or dead, for the partition case —
-// over a fixed fraction of the arrival stream's span.
+// leaf for custom plans, see firstFailure) is degraded — or dead, for the
+// partition case — over a fixed fraction of the arrival stream's span.
 func schedHealthFor(faultCase string, plan *netsim.FaultPlan) schedHealthTimeline {
 	leaf := 0
 	startFrac, endFrac := 0.3, 0.6
@@ -260,7 +260,13 @@ func schedHealthFor(faultCase string, plan *netsim.FaultPlan) schedHealthTimelin
 		startFrac, endFrac = 0.2, 0 // never lifts
 	case FaultCaseCustom:
 		if plan != nil && len(plan.Events) > 0 {
-			fmt.Sscanf(plan.Events[0].Trunk, "leaf%d.", &leaf)
+			first := plan.Events[0]
+			for _, e := range plan.Events[1:] {
+				if firstFailure(e, first) {
+					first = e
+				}
+			}
+			fmt.Sscanf(first.Trunk, "leaf%d.", &leaf)
 		}
 	}
 	return func(span float64) (func(int, float64) sched.LeafHealth, []float64) {
@@ -278,6 +284,20 @@ func schedHealthFor(faultCase string, plan *netsim.FaultPlan) schedHealthTimelin
 		}
 		return health, events
 	}
+}
+
+// firstFailure orders a custom plan's events to find the trunk that fails
+// first: trunk-down events before every other kind, then by (At, Trunk), the
+// order the plan applies them in.  A plan with no down event thus names the
+// trunk of its earliest event.
+func firstFailure(a, b netsim.FaultEvent) bool {
+	if aDown, bDown := a.Kind == netsim.FaultTrunkDown, b.Kind == netsim.FaultTrunkDown; aDown != bDown {
+		return aDown
+	}
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	return a.Trunk < b.Trunk
 }
 
 // faultNetMeasure drives one deterministic packet-level run: cross-leaf bulk

@@ -61,14 +61,13 @@ type Status struct {
 }
 
 // Request is the handle of a non-blocking operation.  Requests are pooled
-// per rank: WaitThen and WaitAllThen recycle every request passed to them
-// before their continuation runs, so a request must not be touched after it
-// has been waited on (read Status once Done reports true, before the wait),
+// per rank: WaitAllThen recycles every request passed to it before its
+// continuation runs, so a request must not be touched after it has been
+// waited on (read Status once Done reports true, before the wait),
 // and the same request must not be passed to a wait twice.
 type Request struct {
 	done    bool
 	status  Status
-	waiter  *Rank
 	counter *waitCounter
 	// src/tag are the matching pattern of a posted receive, embedded here so
 	// posting a receive costs one allocation, not two.
@@ -83,7 +82,7 @@ type Request struct {
 // can only wait on one batch at a time), so waiting allocates nothing.
 type waitCounter struct {
 	remaining int
-	rank      *Rank
+	rank      *Rank // the owner, bound once at NewWorld
 }
 
 // Done reports whether the operation completed.
@@ -99,13 +98,10 @@ func (r *Request) complete(st Status) {
 	}
 	r.done = true
 	r.status = st
-	if r.waiter != nil {
-		r.waiter.wakeWait()
-	}
 	if c := r.counter; c != nil {
 		r.counter = nil
 		c.remaining--
-		if c.remaining == 0 && c.rank != nil {
+		if c.remaining == 0 {
 			c.rank.wakeWait()
 		}
 	}
@@ -188,7 +184,9 @@ func NewWorld(m *cluster.Machine, job *cluster.Job, cfg Config) (*World, error) 
 		rendezvous: make(map[int64]*rendezvousState),
 	}
 	for i := 0; i < job.Size(); i++ {
-		w.ranks = append(w.ranks, &Rank{w: w, rank: i})
+		r := &Rank{w: w, rank: i}
+		r.wc.rank = r
+		w.ranks = append(w.ranks, r)
 	}
 	w.arriveNetFn = func(_ sim.Time, a any) { w.arriveEnv(a.(*envelope)) }
 	w.arriveKernFn = func(a any) { w.arriveEnv(a.(*envelope)) }
@@ -255,7 +253,7 @@ type Cont func()
 
 // Program is a rank body in continuation-passing style.  It must perform all
 // simulated-time operations through the *Then primitives (ComputeThen,
-// WaitThen, WaitAllThen, the *Then collectives, …), passing each the
+// WaitAllThen, the *Then collectives, …), passing each the
 // continuation to run once the operation completes, and invoke done when the
 // rank is finished.  A primitive that must wait suspends the program by
 // storing its continuation; a pooled kernel event resumes it.  A Program may
@@ -276,14 +274,15 @@ func (w *World) LaunchProgram(p Program) {
 		r.stepFn = r.step
 		r.coll.bind(r)
 		r.resumeK = func() { p(r, r.finish) }
-		k.PostAt(k.Now(), r.stepFn)
+		k.CallAt(k.Now(), r.stepFn, nil)
 	}
 }
 
 // step resumes a suspended rank.  It runs as a pooled kernel event: the
 // launch event, the expiry of a ComputeThen timer, or the completion wake
-// posted by wakeWait.
-func (r *Rank) step() {
+// posted by wakeWait.  It takes the kernel callback's argument, always nil,
+// so the rank schedules itself with CallAt and no wrapper.
+func (r *Rank) step(any) {
 	k := r.resumeK
 	r.resumeK = nil
 	// Recycle the requests of the wait the rank was suspended on.
@@ -312,7 +311,7 @@ func (r *Rank) run(k Cont) {
 // context, while the rank is suspended, so posting unconditionally is safe.
 func (r *Rank) wakeWait() {
 	k := r.w.m.Kernel()
-	k.PostAt(k.Now(), r.stepFn)
+	k.CallAt(k.Now(), r.stepFn, nil)
 }
 
 // finish is the done continuation of every rank's Program: the last rank to
@@ -373,7 +372,7 @@ type Rank struct {
 	// its continuation here and run invokes it with a flat stack.  waitReqs
 	// holds the requests of the wait the rank is suspended on, so step can
 	// recycle them when it resumes.
-	stepFn   func()
+	stepFn   func(any)
 	next     Cont
 	resumeK  Cont
 	waitReqs []*Request

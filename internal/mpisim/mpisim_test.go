@@ -33,7 +33,7 @@ func testWorld(t testing.TB, seed int64, nodes, ranksPerSocket int) (*cluster.Ma
 // the completed status before any later Irecv or Isend can reuse it.
 func recvStatusThen(r *Rank, src, tag int, k func(Status)) {
 	req := r.Irecv(src, tag)
-	r.WaitThen(req, func() { k(req.status) })
+	r.WaitAllThen(func() { k(req.status) }, req)
 }
 
 // repeatThen runs body n times in sequence, handing each run its index and
@@ -155,10 +155,10 @@ func TestRendezvousLargeMessage(t *testing.T) {
 		switch r.Rank() {
 		case 0:
 			req := r.Isend(2, 3, size)
-			r.WaitThen(req, func() {
+			r.WaitAllThen(func() {
 				sendDoneAt = r.Now()
 				done()
-			})
+			}, req)
 		case 2:
 			recvStatusThen(r, 0, 3, func(st Status) {
 				recvAt = r.Now()
@@ -198,7 +198,7 @@ func TestEagerSendCompletesImmediately(t *testing.T) {
 			if !req.Done() {
 				t.Error("eager Isend should complete locally at once")
 			}
-			r.WaitThen(req, done)
+			r.WaitAllThen(done, req)
 		case 2:
 			r.RecvThen(0, 1, done)
 		default:
@@ -228,7 +228,7 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 					t.Error("receive posted after arrival should match the unexpected message at once")
 				}
 				st = req.Status()
-				r.WaitThen(req, done)
+				r.WaitAllThen(done, req)
 			})
 		default:
 			done()
@@ -394,7 +394,7 @@ func TestSendRecvExchange(t *testing.T) {
 			if st.Size == 1024 {
 				ok++
 			}
-			r.WaitThen(sreq, done)
+			r.WaitAllThen(done, sreq)
 		})
 	})
 	m.Kernel().Run()

@@ -3,11 +3,11 @@ package mpisim
 import "github.com/hpcperf/switchprobe/internal/sim"
 
 // This file holds the rank primitives and collectives a Program is written
-// with.  Only the three leaf primitives (ComputeThen, WaitThen, WaitAllThen)
-// suspend a rank: they store the continuation in resumeK and arrange the
-// kernel event that resumes it, or — when the operation needs no wait — park
-// the continuation in the trampoline slot.  Everything above them (SendThen,
-// the collectives) is built from those three.  The rooted collectives and
+// with.  Only the two leaf primitives (ComputeThen, WaitAllThen) suspend a
+// rank: they store the continuation in resumeK and arrange the kernel event
+// that resumes it, or — when the operation needs no wait — park the
+// continuation in the trampoline slot.  Everything above them (SendThen, the
+// collectives) is built from those two.  The rooted collectives and
 // the alltoall keep their loop state in the rank's collFrame, so the
 // collectives the campaigns run in every iteration allocate nothing.
 
@@ -31,7 +31,7 @@ func (r *Rank) ComputeThen(d sim.Duration, k Cont) {
 		return
 	}
 	// One pooled kernel event at now+d resumes the rank.
-	kern.PostAt(kern.Now().Add(d), r.stepFn)
+	kern.CallAt(kern.Now().Add(d), r.stepFn, nil)
 	r.resumeK = k
 }
 
@@ -46,30 +46,15 @@ func (r *Rank) ComputeCyclesThen(cycles float64, k Cont) {
 	r.ComputeThen(r.w.m.CyclesToDuration(cycles), k)
 }
 
-// WaitThen waits for req to complete, then continues with k.  It recycles
-// the request, so a caller that needs a receive's Status reads it once Done
-// reports true, before the wait.  A wait on an already-complete request
-// continues inline without parking (counted in sim.Stats.ProcFastResumes).
-func (r *Rank) WaitThen(req *Request, k Cont) {
-	if req.done {
-		r.w.m.Kernel().NoteFastResume()
-		r.recycleRequest(req)
-		r.next = k
-		return
-	}
-	req.waiter = r
-	r.waitReqs = append(r.waitReqs[:0], req)
-	r.resumeK = k
-}
-
 // WaitAllThen waits for every request to complete — waking the rank once,
 // when the last outstanding request finishes — then continues with k.  The
-// requests are recycled before k runs.  A wait with zero pending requests
-// continues inline without parking (counted in sim.Stats.ProcFastResumes).
+// requests are recycled before k runs, so a caller that needs a receive's
+// Status reads it once Done reports true, before the wait.  A wait with zero
+// pending requests continues inline without parking (counted in
+// sim.Stats.ProcFastResumes).
 func (r *Rank) WaitAllThen(k Cont, reqs ...*Request) {
 	c := &r.wc
 	c.remaining = 0
-	c.rank = r
 	for _, req := range reqs {
 		if !req.done {
 			c.remaining++
@@ -77,7 +62,6 @@ func (r *Rank) WaitAllThen(k Cont, reqs ...*Request) {
 		}
 	}
 	if c.remaining == 0 {
-		c.rank = nil
 		r.w.m.Kernel().NoteFastResume()
 		for _, req := range reqs {
 			r.recycleRequest(req)
@@ -92,11 +76,11 @@ func (r *Rank) WaitAllThen(k Cont, reqs ...*Request) {
 }
 
 // SendThen is a blocking send (Isend + wait), then k.
-func (r *Rank) SendThen(dst, tag, size int, k Cont) { r.WaitThen(r.Isend(dst, tag, size), k) }
+func (r *Rank) SendThen(dst, tag, size int, k Cont) { r.WaitAllThen(k, r.Isend(dst, tag, size)) }
 
 // RecvThen is a blocking receive (Irecv + wait), then k; the receive status
 // is discarded.
-func (r *Rank) RecvThen(src, tag int, k Cont) { r.WaitThen(r.Irecv(src, tag), k) }
+func (r *Rank) RecvThen(src, tag int, k Cont) { r.WaitAllThen(k, r.Irecv(src, tag)) }
 
 // SendRecvThen exchanges messages with two peers — sends size bytes to dst
 // and receives from src, overlapping both transfers — then continues with k.
@@ -104,7 +88,7 @@ func (r *Rank) SendRecvThen(dst, sendTag, size, src, recvTag int, k Cont) {
 	sreq := r.Isend(dst, sendTag, size)
 	rreq := r.Irecv(src, recvTag)
 	// Receive first, then the send.
-	r.WaitThen(rreq, func() { r.WaitThen(sreq, k) })
+	r.WaitAllThen(func() { r.WaitAllThen(k, sreq) }, rreq)
 }
 
 // --- Collectives -----------------------------------------------------------

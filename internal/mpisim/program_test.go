@@ -136,14 +136,14 @@ func TestProgramFastResumeCounting(t *testing.T) {
 			// Intra-node eager send completes at Isend: wait is a fast
 			// resume.
 			req := r.Isend(near, 1, 64)
-			r.WaitThen(req, func() {
+			r.WaitAllThen(func() {
 				// Empty batch wait: a fast resume.
 				r.WaitAllThen(func() {
 					// Zero-length compute with an idle instant: a fast
 					// resume.
 					r.ComputeThen(0, done)
 				})
-			})
+			}, req)
 		})
 	})
 	k.Run()

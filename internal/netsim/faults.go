@@ -26,8 +26,8 @@
 // repair restores a path.
 //
 // A packet lost on a failed trunk is retransmitted from its source NIC after
-// a detection timeout with capped exponential backoff (RetryTimeout,
-// RetryBackoffCap), re-entering the normal injection funnel with the current
+// a detection timeout with capped exponential backoff (retryTimeout,
+// retryBackoffCap), re-entering the normal injection funnel with the current
 // (post-failover) route.
 //
 // Relaxed-engine interaction.  Fault transitions bound the lookahead horizon:
@@ -106,30 +106,19 @@ type FaultPlan struct {
 	MTBF sim.Duration
 	// MTTR is the mean repair time of generated failures.
 	MTTR sim.Duration
-	// RetryTimeout is the retransmit detection timeout (the base of the
-	// exponential backoff); 0 means 50µs.
-	RetryTimeout sim.Duration
-	// RetryBackoffCap caps the exponential backoff; 0 means 1ms.
-	RetryBackoffCap sim.Duration
 }
+
+const (
+	// retryTimeout is the retransmit detection timeout, the base of the
+	// exponential backoff.
+	retryTimeout = 50 * sim.Microsecond
+	// retryBackoffCap caps the exponential backoff.
+	retryBackoffCap = sim.Millisecond
+)
 
 // Active reports whether the plan injects any faults.
 func (fp *FaultPlan) Active() bool {
 	return fp != nil && (len(fp.Events) > 0 || fp.MTBF > 0)
-}
-
-func (fp *FaultPlan) retryTimeout() sim.Duration {
-	if fp != nil && fp.RetryTimeout > 0 {
-		return fp.RetryTimeout
-	}
-	return 50 * sim.Microsecond
-}
-
-func (fp *FaultPlan) retryCap() sim.Duration {
-	if fp != nil && fp.RetryBackoffCap > 0 {
-		return fp.RetryBackoffCap
-	}
-	return sim.Millisecond
 }
 
 // sortedEvents returns the plan's events in canonical (At, Trunk, Kind,
@@ -153,7 +142,9 @@ func (fp *FaultPlan) sortedEvents() []FaultEvent {
 }
 
 // Fingerprint canonically encodes every plan field that influences simulated
-// behaviour; it joins Config.Fingerprint when the plan is active.
+// behaviour; it joins Config.Fingerprint when the plan is active.  The text
+// ends with the retry constants (rto, rcap): it is a cache key, and
+// dropping them would re-key every faulted artifact.
 func (fp *FaultPlan) Fingerprint() string {
 	var b strings.Builder
 	for i, e := range fp.sortedEvents() {
@@ -167,7 +158,7 @@ func (fp *FaultPlan) Fingerprint() string {
 		}
 	}
 	fmt.Fprintf(&b, "|mtbf=%d|mttr=%d|rto=%d|rcap=%d",
-		int64(fp.MTBF), int64(fp.MTTR), int64(fp.retryTimeout()), int64(fp.retryCap()))
+		int64(fp.MTBF), int64(fp.MTTR), int64(retryTimeout), int64(retryBackoffCap))
 	return b.String()
 }
 
@@ -319,8 +310,6 @@ type faultTransition struct {
 // first failure so downAt stamps are known before any traffic walks.
 func (n *Network) setupFaults(fp *FaultPlan) {
 	n.faultsOn = true
-	n.retryTimeout = fp.retryTimeout()
-	n.retryCap = fp.retryCap()
 	n.nextFaultAt = maxSimTime
 	n.faultFn = func(any) { n.faultStep() }
 	n.retryFn = func(a any) { n.retryPacket(a.(*packet)) }
@@ -556,9 +545,9 @@ func (n *Network) losePacket(p *packet, at sim.Time) {
 	if p.retries < 62 {
 		p.retries++
 	}
-	backoff := n.retryTimeout << (p.retries - 1)
-	if backoff > n.retryCap || backoff <= 0 {
-		backoff = n.retryCap
+	backoff := retryTimeout << (p.retries - 1)
+	if backoff > retryBackoffCap || backoff <= 0 {
+		backoff = retryBackoffCap
 	}
 	n.packetsRetransmitted++
 	n.retryBackoffNs += int64(backoff)

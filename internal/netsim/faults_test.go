@@ -151,6 +151,10 @@ func TestFaultPlanFingerprint(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("fingerprint depends on event slice order:\n%s\n%s", a.Fingerprint(), b.Fingerprint())
 	}
+	// The text is a cache key, so it is pinned byte for byte.
+	if got, want := a.Fingerprint(), "down:leaf0.up1@1000000|up:leaf0.up1@2000000|mtbf=0|mttr=0|rto=50000|rcap=1000000"; got != want {
+		t.Fatalf("fingerprint = %q, want %q", got, want)
+	}
 	// An inactive plan (nil or empty) must leave the fingerprint unchanged.
 	empty := faultTestConfig()
 	empty.Faults = &FaultPlan{}

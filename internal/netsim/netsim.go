@@ -298,13 +298,11 @@ func (p *packet) nextHop() *SwitchPort {
 }
 
 // messageState tracks the remaining packets of a segmented message.  Pooled
-// like packets.  Completion is reported either through onComplete (a closure)
-// or through the allocation-free (fnArg, arg) pair; at most one is set.
+// like packets.  Completion calls fnArg(deliveryTime, arg) when fnArg is set.
 type messageState struct {
-	remaining  int
-	onComplete func(sim.Time)
-	fnArg      func(sim.Time, any)
-	arg        any
+	remaining int
+	fnArg     func(sim.Time, any)
+	arg       any
 	// completeAt is the max arrival time committed so far by relaxed-mode
 	// walks of this message's packets; the completion fires there.
 	completeAt sim.Time
@@ -624,15 +622,13 @@ type Network struct {
 	// check; faultPend is the time-sorted transition queue; nextFaultAt
 	// bounds the relaxed engine's lookahead horizon; faultRng feeds the
 	// MTBF/MTTR renewal generator.
-	faultsOn     bool
-	faultPend    []faultTransition
-	faultRng     sim.Substream
-	mtbf, mttr   sim.Duration
-	nextFaultAt  sim.Time
-	faultFn      func(any)
-	retryFn      func(any)
-	retryTimeout sim.Duration
-	retryCap     sim.Duration
+	faultsOn    bool
+	faultPend   []faultTransition
+	faultRng    sim.Substream
+	mtbf, mttr  sim.Duration
+	nextFaultAt sim.Time
+	faultFn     func(any)
+	retryFn     func(any)
 
 	// Statistics.
 	packetsDelivered int64
@@ -797,7 +793,6 @@ func (n *Network) getMessageState() *messageState {
 
 // putMessageState recycles a finished message tracker.
 func (n *Network) putMessageState(ms *messageState) {
-	ms.onComplete = nil
 	ms.fnArg = nil
 	ms.arg = nil
 	ms.completeAt = 0
@@ -858,39 +853,35 @@ func (n *Network) serialization(size int) sim.Duration {
 
 // SendMessage injects a message of size bytes from node src to node dst on
 // behalf of flow.  The message is segmented into MTU-sized packets.  When the
-// last byte is delivered, onComplete is invoked with the delivery time.
-// Sending to the own node is not handled here (the MPI layer short-circuits
-// intra-node traffic); src and dst must differ.
+// last byte is delivered, onComplete (if not nil) is invoked with the
+// delivery time.  Sending to the own node is not handled here (the MPI layer
+// short-circuits intra-node traffic); src and dst must differ.
 func (n *Network) SendMessage(src, dst, size int, flow Flow, onComplete func(sim.Time)) error {
-	ms := n.getMessageState()
-	ms.onComplete = onComplete
-	return n.sendSegmented(src, dst, size, flow, ms)
+	if onComplete == nil {
+		return n.SendMessageCall(src, dst, size, flow, nil, nil)
+	}
+	return n.SendMessageCall(src, dst, size, flow, runCompletion, onComplete)
 }
+
+// runCompletion is the completion of every SendMessage with a closure: the
+// closure itself travels as the argument.
+func runCompletion(at sim.Time, onComplete any) { onComplete.(func(sim.Time))(at) }
 
 // SendMessageCall is SendMessage with an allocation-free completion: when the
-// last byte is delivered, fn(deliveryTime, arg) is invoked.  Callers that
-// bind fn once and thread their per-message state through arg avoid the
-// per-message closure of SendMessage.
+// last byte is delivered, fn(deliveryTime, arg) is invoked (nothing when fn
+// is nil).  Callers that bind fn once and thread their per-message state
+// through arg avoid a per-message closure.  The message is split into
+// MTU-sized packets on the source NIC's flow queue.
 func (n *Network) SendMessageCall(src, dst, size int, flow Flow, fn func(sim.Time, any), arg any) error {
-	ms := n.getMessageState()
-	ms.fnArg = fn
-	ms.arg = arg
-	return n.sendSegmented(src, dst, size, flow, ms)
-}
-
-// sendSegmented splits the message into MTU-sized packets on the source
-// NIC's flow queue.
-func (n *Network) sendSegmented(src, dst, size int, flow Flow, ms *messageState) error {
 	if err := n.checkEndpoints(src, dst); err != nil {
-		n.putMessageState(ms)
 		return err
 	}
 	if size <= 0 {
-		n.putMessageState(ms)
 		return fmt.Errorf("netsim: non-positive message size %d", size)
 	}
 	npkts := (size + n.cfg.MTU - 1) / n.cfg.MTU
-	ms.remaining = npkts
+	ms := n.getMessageState()
+	ms.remaining, ms.fnArg, ms.arg = npkts, fn, arg
 	nc, fq := n.flowQueueFor(src, flow)
 	route := n.routes[src*n.cfg.Nodes+dst]
 	now := n.k.Now()
@@ -997,32 +988,34 @@ func (n *Network) tryStartUplink(nc *nic) {
 	}
 	blocked := n.blocked[:0]
 	var chosen *packet
-	for i := 0; i < total; i++ {
-		idx := nc.next + i
-		if idx >= total {
-			idx -= total
+	// Round-robin over the non-empty queues only, in the two bitmap segments
+	// drainNic walks: nc.next..total-1, then 0..nc.next-1.
+scan:
+	for seg := 0; seg < 2; seg++ {
+		from, limit := nc.next, total
+		if seg == 1 {
+			from, limit = 0, nc.next
 		}
-		fq := nc.queues[idx]
-		if fq.q.empty() {
-			continue
+		for idx := nc.nextActive(from, limit); idx >= 0; idx = nc.nextActive(idx+1, limit) {
+			fq := nc.queues[idx]
+			p := fq.q.front()
+			first := p.route[0]
+			if (n.faultsOn && first.down) || !first.hasRoom(p.size) {
+				// A down first trunk blocks like a full one: the NIC registers
+				// on it and is retried when the repair's wakeWaiters fires.
+				blocked = append(blocked, first)
+				continue
+			}
+			chosen = fq.q.pop()
+			if fq.q.empty() {
+				nc.clearActive(idx)
+			}
+			nc.next = idx + 1
+			if nc.next == total {
+				nc.next = 0
+			}
+			break scan
 		}
-		p := fq.q.front()
-		first := p.route[0]
-		if (n.faultsOn && first.down) || !first.hasRoom(p.size) {
-			// A down first trunk blocks like a full one: the NIC registers on
-			// it and is retried when the repair's wakeWaiters fires.
-			blocked = append(blocked, first)
-			continue
-		}
-		chosen = fq.q.pop()
-		if fq.q.empty() {
-			nc.clearActive(idx)
-		}
-		nc.next = idx + 1
-		if nc.next == total {
-			nc.next = 0
-		}
-		break
 	}
 	if chosen == nil {
 		if len(blocked) > 0 {
@@ -1241,11 +1234,9 @@ func (n *Network) deliver(p *packet) {
 // finishMessage recycles a completed message tracker and fires its
 // completion callback at time at.
 func (n *Network) finishMessage(ms *messageState, at sim.Time) {
-	done, fnArg, arg := ms.onComplete, ms.fnArg, ms.arg
+	fnArg, arg := ms.fnArg, ms.arg
 	n.putMessageState(ms)
-	if done != nil {
-		done(at)
-	} else if fnArg != nil {
+	if fnArg != nil {
 		fnArg(at, arg)
 	}
 }

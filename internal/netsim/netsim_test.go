@@ -194,6 +194,41 @@ func TestMessageSegmentationAndCompletion(t *testing.T) {
 	}
 }
 
+// TestSendMessageCompletionForms: SendMessage's closure and SendMessageCall's
+// (fn, arg) complete the same message at the same instant, and a message
+// sent with a nil closure is delivered with nothing to call.
+func TestSendMessageCompletionForms(t *testing.T) {
+	run := func(call bool) (sim.Time, Stats) {
+		k := sim.NewKernel(1)
+		n := MustNew(k, testConfig())
+		var at sim.Time
+		var err error
+		if call {
+			err = n.SendMessageCall(0, 2, 5000, Flow{Class: "app"}, func(t sim.Time, arg any) { *arg.(*sim.Time) = t }, &at)
+		} else {
+			err = n.SendMessage(0, 2, 5000, Flow{Class: "app"}, func(t sim.Time) { at = t })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.SendMessage(1, 3, 5000, Flow{Class: "app"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		k.Run()
+		return at, n.Stats()
+	}
+	closureAt, closureStats := run(false)
+	callAt, callStats := run(true)
+	if closureAt == 0 || closureAt != callAt {
+		t.Fatalf("closure completed at %d and (fn, arg) at %d, want the same nonzero instant", closureAt, callAt)
+	}
+	for _, s := range []Stats{closureStats, callStats} {
+		if s.BytesDelivered != 10000 {
+			t.Fatalf("bytes delivered = %d, want 10000 (both messages)", s.BytesDelivered)
+		}
+	}
+}
+
 func TestObserverSeesEveryPacket(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := testConfig()
@@ -248,7 +283,7 @@ func TestRoundRobinProtectsProbeFromBulkFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var probeLatency sim.Duration
-	k.After(10*sim.Microsecond, func() {
+	k.Post(10*sim.Microsecond, func() {
 		if err := n.SendProbe(0, 1, 1024, Flow{Class: "impact", ID: 0}, func(d Delivery) {
 			probeLatency = d.Latency()
 		}); err != nil {
@@ -284,7 +319,7 @@ func TestBackpressureBoundsLatencyAndThrottlesSenders(t *testing.T) {
 			}
 		}
 		var lat sim.Duration
-		k.After(500*sim.Microsecond, func() {
+		k.Post(500*sim.Microsecond, func() {
 			if err := n.SendProbe(1, 0, 1024, Flow{Class: "impact"}, func(d Delivery) { lat = d.Latency() }); err != nil {
 				t.Fatal(err)
 			}

@@ -129,7 +129,7 @@ func stormScenario(t *testing.T) func(k *sim.Kernel, n *Network) {
 		// landing mid-flight of the bulk trains.
 		for i := 0; i < 40; i++ {
 			i := i
-			k.At(sim.Time(int64(i)*3_117), func() {
+			k.PostAt(sim.Time(int64(i)*3_117), func() {
 				src := i % nodes
 				dst := (i*5 + 1) % nodes
 				if dst == src {
@@ -230,7 +230,7 @@ func fuzzedScenario(cfg Config, seed int64) func(k *sim.Kernel, n *Network) {
 	return func(k *sim.Kernel, n *Network) {
 		for i, inj := range plan {
 			i, inj := i, inj
-			k.At(inj.at, func() {
+			k.PostAt(inj.at, func() {
 				if inj.probe {
 					_ = n.SendProbe(inj.src, inj.dst, inj.size, Flow{Class: "p", ID: i}, nil)
 					return
@@ -444,7 +444,7 @@ func TestPacketPoolInvariants(t *testing.T) {
 					t.Fatal("message-state double-put: same *messageState twice on the free list")
 				}
 				seenMS[ms] = true
-				if ms.onComplete != nil || ms.fnArg != nil || ms.arg != nil {
+				if ms.fnArg != nil || ms.arg != nil {
 					t.Fatalf("pooled message state retains references: %+v", ms)
 				}
 			}

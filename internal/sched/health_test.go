@@ -68,7 +68,6 @@ func TestHealthDegradedRateSlowsJob(t *testing.T) {
 			}
 			return HealthOK
 		},
-		DegradedRate: 0.5,
 	}
 	res, err := Run(cfg)
 	if err != nil {

@@ -23,7 +23,7 @@ const (
 	// consolidation when every candidate is unknown).
 	HealthUnknown
 	// HealthDegraded: the leaf is reachable but its uplinks run slow; jobs
-	// placed there progress at Config.DegradedRate of their healthy rate.
+	// placed there progress at half their healthy rate.
 	HealthDegraded
 	// HealthDead: the leaf is partitioned from the fabric.  The scheduler
 	// never offers dead leaves as candidates and requeues their resident

@@ -10,7 +10,7 @@
 //
 //   - two jobs on the same leaf are charged the spread-placed co-run
 //     degradation measured for their workload pair on the scenario's fabric
-//     (the paper's methodology, via core.MeasureAppPairPlaced specs);
+//     (the paper's methodology, via placed core.PairSpec runs);
 //   - jobs on different leaves are charged the pack-placed (disjoint-leaf)
 //     measurement, which is near zero on every fabric the xswitch campaign
 //     covers;
@@ -147,10 +147,11 @@ type Config struct {
 	// re-offers the queue.  Health transitions between listed events are
 	// not observed.
 	HealthEvents []float64
-	// DegradedRate is the progress-rate multiplier applied to jobs running
-	// on degraded leaves (0 < rate ≤ 1); zero defaults to 0.5.
-	DegradedRate float64
 }
+
+// degradedRate is the progress-rate multiplier applied to jobs running on
+// degraded leaves.
+const degradedRate = 0.5
 
 // JobOutcome records one completed job.
 type JobOutcome struct {
@@ -419,10 +420,6 @@ func Run(cfg Config) (Result, error) {
 		lastEnd = firstAt
 	)
 
-	degradedRate := cfg.DegradedRate
-	if degradedRate <= 0 || degradedRate > 1 {
-		degradedRate = 0.5
-	}
 	healthAt := func(leaf int, t float64) LeafHealth {
 		if cfg.Health == nil {
 			return HealthOK

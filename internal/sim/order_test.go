@@ -18,8 +18,6 @@ import (
 // kernelUnderTest is the scheduling surface both kernels expose.
 type kernelUnderTest interface {
 	Now() Time
-	At(Time, func()) *Event
-	After(Duration, func()) *Event
 	PostAt(Time, func())
 	Post(Duration, func())
 	CallAt(Time, func(any), any)
@@ -36,13 +34,13 @@ type kernelUnderTest interface {
 
 // naiveKernel keeps every pending event in one slice and fires the minimum
 // (at, seq) it finds by linear scan.  It mirrors Kernel's bookkeeping — the
-// clamp to now, the free-list counters, cancelled events discarded when they
-// reach the front — but nothing of how Kernel stores events.
+// clamp to now and the free-list counters — but nothing of how Kernel stores
+// events.
 type naiveKernel struct {
 	now     Time
 	seq     uint64
-	pending []*Event
-	free    int // recycled pooled structs the next pooled schedule reuses
+	pending []*event
+	free    int // recycled structs the next schedule reuses
 	stats   Stats
 }
 
@@ -50,89 +48,48 @@ func (k *naiveKernel) Now() Time       { return k.now }
 func (k *naiveKernel) Stats() Stats    { return k.stats }
 func (k *naiveKernel) NoteFastResume() { k.stats.ProcFastResumes++ }
 
-func (k *naiveKernel) enqueue(e *Event, t Time) {
-	if t < k.now {
-		t = k.now
+func (k *naiveKernel) CallAt(t Time, fn func(any), arg any) {
+	if k.free > 0 {
+		k.free--
+		k.stats.PoolReuses++
 	}
-	e.at, e.seq = t, k.seq
+	t = max(t, k.now)
+	k.pending = append(k.pending, &event{at: t, seq: k.seq, fn: fn, arg: arg})
 	k.seq++
 	k.stats.EventsScheduled++
 	if t == k.now {
 		k.stats.FastPathEvents++
 	}
-	k.pending = append(k.pending, e)
-}
-
-func (k *naiveKernel) pooled() *Event {
-	if k.free > 0 {
-		k.free--
-		k.stats.PoolReuses++
-	}
-	return &Event{pooled: true}
-}
-
-func (k *naiveKernel) release(e *Event) {
-	if e.pooled {
-		k.free++
-	}
-}
-
-func (k *naiveKernel) At(t Time, fn func()) *Event {
-	e := &Event{fn: fn}
-	k.enqueue(e, t)
-	return e
-}
-
-func (k *naiveKernel) After(d Duration, fn func()) *Event {
-	return k.At(k.now.Add(max(d, 0)), fn)
-}
-
-func (k *naiveKernel) PostAt(t Time, fn func()) {
-	e := k.pooled()
-	e.fn = fn
-	k.enqueue(e, t)
-}
-
-func (k *naiveKernel) Post(d Duration, fn func()) { k.PostAt(k.now.Add(max(d, 0)), fn) }
-
-func (k *naiveKernel) CallAt(t Time, fn func(any), arg any) {
-	e := k.pooled()
-	e.afn, e.arg = fn, arg
-	k.enqueue(e, t)
 }
 
 func (k *naiveKernel) Call(d Duration, fn func(any), arg any) {
 	k.CallAt(k.now.Add(max(d, 0)), fn, arg)
 }
 
+func (k *naiveKernel) PostAt(t Time, fn func()) { k.CallAt(t, func(any) { fn() }, nil) }
+
+func (k *naiveKernel) Post(d Duration, fn func()) { k.PostAt(k.now.Add(max(d, 0)), fn) }
+
 func (k *naiveKernel) step(deadline Time) bool {
-	for len(k.pending) > 0 {
-		m := 0
-		for i, e := range k.pending {
-			if e.at < k.pending[m].at || e.at == k.pending[m].at && e.seq < k.pending[m].seq {
-				m = i
-			}
-		}
-		e := k.pending[m]
-		if !e.cancelled && deadline >= 0 && e.at > deadline {
-			return false
-		}
-		k.pending = append(k.pending[:m], k.pending[m+1:]...)
-		k.release(e)
-		if e.cancelled {
-			k.stats.EventsCancelled++
-			continue
-		}
-		k.now = e.at
-		k.stats.EventsFired++
-		if e.fn != nil {
-			e.fn()
-		} else {
-			e.afn(e.arg)
-		}
-		return true
+	if len(k.pending) == 0 {
+		return false
 	}
-	return false
+	m := 0
+	for i, e := range k.pending {
+		if e.at < k.pending[m].at || e.at == k.pending[m].at && e.seq < k.pending[m].seq {
+			m = i
+		}
+	}
+	e := k.pending[m]
+	if deadline >= 0 && e.at > deadline {
+		return false
+	}
+	k.pending = append(k.pending[:m], k.pending[m+1:]...)
+	k.free++
+	k.now = e.at
+	k.stats.EventsFired++
+	e.fn(e.arg)
+	return true
 }
 
 func (k *naiveKernel) Run() Time {
@@ -149,23 +106,12 @@ func (k *naiveKernel) RunUntil(deadline Time) Time {
 }
 
 func (k *naiveKernel) Shutdown() {
-	for _, e := range k.pending {
-		k.stats.EventsCancelled++
-		e.cancelled = true
-		k.release(e)
-	}
+	k.stats.EventsCancelled += uint64(len(k.pending))
+	k.free += len(k.pending)
 	k.pending = nil
 }
 
-func (k *naiveKernel) Pending() int {
-	n := 0
-	for _, e := range k.pending {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (k *naiveKernel) Pending() int { return len(k.pending) }
 
 func (k *naiveKernel) InstantIdle() bool {
 	for _, e := range k.pending {
@@ -184,16 +130,15 @@ type firing struct {
 }
 
 // orderHarness schedules generated events on one kernel and records what
-// fires.  A fired event may schedule follow-ups and cancel a handle, chosen
-// by hashing its seq, so two harnesses in lockstep make the same calls for as
-// long as their kernels fire the same events.
+// fires.  A fired event may schedule follow-ups, chosen by hashing its seq,
+// so two harnesses in lockstep make the same calls for as long as their
+// kernels fire the same events.
 type orderHarness struct {
 	k       kernelUnderTest
 	fired   []firing
-	handles []*Event
 	recent  [16]Time // recently scheduled times, to tie new events to
 	nextSeq uint64
-	queued  int // scheduled, not yet fired or shut down: at least Pending
+	queued  int // scheduled, not yet fired or shut down: Pending
 	budget  int // follow-ups fired events may still schedule
 	callFn  func(any)
 }
@@ -274,17 +219,12 @@ func (h *orderHarness) schedule(api, class, x byte) {
 	seq := h.nextSeq
 	h.nextSeq++
 	h.recent[seq%16] = max(at, now)
-	fn := func() { h.fire(seq) }
-	switch api % 6 {
+	switch api % 4 {
 	case 0:
-		h.handles = append(h.handles, h.k.At(at, fn))
+		h.k.PostAt(at, func() { h.fire(seq) })
 	case 1:
-		h.handles = append(h.handles, h.k.After(at.Sub(now), fn))
+		h.k.Post(at.Sub(now), func() { h.fire(seq) })
 	case 2:
-		h.k.PostAt(at, fn)
-	case 3:
-		h.k.Post(at.Sub(now), fn)
-	case 4:
 		h.k.CallAt(at, h.callFn, seq)
 	default:
 		h.k.Call(at.Sub(now), h.callFn, seq)
@@ -295,9 +235,6 @@ func (h *orderHarness) fire(seq uint64) {
 	h.queued--
 	h.fired = append(h.fired, firing{h.k.Now(), seq})
 	r := mix64(seq)
-	if r&7 == 0 && len(h.handles) > 0 {
-		h.handles[(r>>3)%uint64(len(h.handles))].Cancel()
-	}
 	for n := r >> 16 % 3; n > 0 && h.budget > 0; n-- {
 		h.budget--
 		r = mix64(r)
@@ -333,12 +270,8 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 	switch op % 32 {
 	default: // 0-15
 		h.schedule(a, b, c)
-	case 16, 17, 18, 19, 20, 21, 22:
+	case 16, 17, 18, 19, 20, 21, 22, 23, 24:
 		h.k.step(-1)
-	case 23, 24:
-		if len(h.handles) > 0 {
-			h.handles[int(c)%len(h.handles)].Cancel()
-		}
 	case 25, 26:
 		h.k.RunUntil(h.deadline(a, b))
 	case 27:
@@ -489,11 +422,10 @@ func TestFarHeapOrderOutsidePackedKeys(t *testing.T) {
 	}
 }
 
-// TestEventFitsSizeClass pins the Event layout: 64 bytes is a Go allocator
-// size class, and one more word (for example next placed between the two
-// bools) lands every At/After handle in the 80-byte class.
+// TestEventFitsSizeClass pins the event layout: six words, 48 bytes, a Go
+// allocator size class, so a free list refill allocates no slack.
 func TestEventFitsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got > 64 {
-		t.Fatalf("sim.Event is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(event{}); got > 48 {
+		t.Fatalf("sim.event is %d bytes, want at most 48", got)
 	}
 }

@@ -6,13 +6,12 @@
 // traffic generators — is a chain of callback events, so simulation code needs
 // no locking and is fully deterministic for a fixed seed.
 //
-// Two scheduling APIs exist.  At/After return a cancellable *Event handle and
-// allocate a fresh event per call.  Post/PostAt/Call/CallAt are fire-and-forget:
-// they return no handle, draw their event structs from an internal free list
-// and recycle them after firing, so steady-state scheduling allocates nothing.
-// Call/CallAt additionally carry a caller-supplied argument to the callback,
-// letting hot paths reuse one pre-bound callback instead of allocating a
-// closure per event.
+// Four calls schedule an event: Post/PostAt run a closure, Call/CallAt run a
+// callback with a caller-supplied argument, letting hot paths reuse one
+// pre-bound callback instead of allocating a closure per event.  None returns
+// a handle: event structs come from an internal free list and return to it
+// once they fire, so steady-state scheduling allocates nothing.  Only
+// Shutdown discards pending events.
 //
 // Pending events wait in one of three structures, and every step fires the
 // (time, seq) minimum of their fronts.  Events scheduled for the current
@@ -105,33 +104,17 @@ func DurationOfSeconds(s float64) Duration { return Duration(s * float64(Second)
 // DurationOfMicros converts a float number of microseconds to a Duration.
 func DurationOfMicros(us float64) Duration { return Duration(us * float64(Microsecond)) }
 
-// Event is a scheduled callback.  Handles returned by At/After can be
-// cancelled before they fire.  Events created through Post/PostAt/Call/CallAt
-// are pooled and never escape the kernel.
-type Event struct {
+// event is a scheduled callback, fn(arg) at time at.  Every event is pooled:
+// the kernel recycles it onto its free list once it fires or Shutdown
+// discards it, and no caller ever holds one.
+type event struct {
 	at  Time
 	seq uint64
-	fn  func()
-	// afn/arg are the argument-carrying callback form used by Call/CallAt;
-	// exactly one of fn and afn is set.
-	afn func(any)
+	fn  func(any)
 	arg any
-	// next threads the event through its calendar bucket's list.  It sits
-	// before the two bools so the struct stays 64 bytes.
-	next      *Event
-	cancelled bool
-	// pooled events are recycled onto the kernel free list once popped; only
-	// handle-less events may be pooled, so a recycled struct can never be
-	// reached through a stale *Event.
-	pooled bool
+	// next threads the event through its calendar bucket's list.
+	next *event
 }
-
-// Time returns the virtual time at which the event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
-
-// Cancel prevents the event from firing.  Cancelling an event that already
-// fired is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
 
 // Stats counts what the kernel has done since creation.  All counters are
 // monotonic.
@@ -141,8 +124,8 @@ type Stats struct {
 	EventsScheduled uint64
 	// EventsFired is the number of events whose callback ran.
 	EventsFired uint64
-	// EventsCancelled is the number of events discarded without firing
-	// (explicit Cancel or Shutdown).
+	// EventsCancelled is the number of pending events Shutdown discarded
+	// without firing.
 	EventsCancelled uint64
 	// PoolReuses is the number of event structs served from the free list
 	// instead of the heap allocator (allocations avoided).
@@ -161,12 +144,12 @@ type Stats struct {
 // it replaces O(log n) heap traffic with O(1) pushes and pops for the very
 // common "schedule at now" case (wakes, same-time cascades).
 type eventRing struct {
-	buf  []*Event
+	buf  []*event
 	head int
 	n    int
 }
 
-func (r *eventRing) push(e *Event) {
+func (r *eventRing) push(e *event) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -179,7 +162,7 @@ func (r *eventRing) push(e *Event) {
 }
 
 func (r *eventRing) grow() {
-	newBuf := make([]*Event, max(16, 2*len(r.buf)))
+	newBuf := make([]*event, max(16, 2*len(r.buf)))
 	for i := 0; i < r.n; i++ {
 		j := r.head + i
 		if j >= len(r.buf) {
@@ -191,9 +174,9 @@ func (r *eventRing) grow() {
 	r.head = 0
 }
 
-func (r *eventRing) peek() *Event { return r.buf[r.head] }
+func (r *eventRing) peek() *event { return r.buf[r.head] }
 
-func (r *eventRing) pop() *Event {
+func (r *eventRing) pop() *event {
 	e := r.buf[r.head]
 	r.buf[r.head] = nil
 	r.head++
@@ -211,7 +194,7 @@ type Kernel struct {
 	now   Time
 	nowq  eventRing
 	far   []heapEntry // 4-ary min-heap of events beyond the calendar's span
-	pool  []*Event
+	pool  []*event
 	seq   uint64
 	seed  int64
 	stats Stats
@@ -255,7 +238,7 @@ func (k *Kernel) NoteFastResume() { k.stats.ProcFastResumes++ }
 // may instead run its continuation inline: the only change to the schedule
 // is that every later sequence number shifts down by one — uniformly, which
 // preserves all relative (time, seq) orderings — and the resume event is
-// saved.  A cancelled event due now makes the answer conservatively false.
+// saved.
 func (k *Kernel) InstantIdle() bool {
 	if k.nowq.n > 0 {
 		return false
@@ -276,28 +259,10 @@ func (k *Kernel) NewRand(name string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// Pending reports the number of scheduled, non-cancelled events.
+// Pending reports the number of scheduled events that have not yet fired.
 func (k *Kernel) Pending() int {
-	n := 0
-	for _, he := range k.far {
-		if !he.e.cancelled {
-			n++
-		}
-	}
-	k.cal.each(func(e *Event) {
-		if !e.cancelled {
-			n++
-		}
-	})
-	for i := 0; i < k.nowq.n; i++ {
-		j := k.nowq.head + i
-		if j >= len(k.nowq.buf) {
-			j -= len(k.nowq.buf)
-		}
-		if !k.nowq.buf[j].cancelled {
-			n++
-		}
-	}
+	n := len(k.far) + k.nowq.n
+	k.cal.each(func(*event) { n++ })
 	return n
 }
 
@@ -305,7 +270,7 @@ func (k *Kernel) Pending() int {
 //
 // Events due soon wait in a calendar queue (Brown, CACM 1988): a ring of
 // calBuckets buckets, each 1<<calWidthBits ns of virtual time wide and holding
-// an (at, seq)-sorted list threaded through Event.next.  A bit per bucket marks
+// an (at, seq)-sorted list threaded through event.next.  A bit per bucket marks
 // the non-empty ones, and a summary bit per 64-bucket word marks the
 // non-empty words, so the earliest bucket is found in a few word operations.
 //
@@ -324,7 +289,7 @@ const (
 	calWords      = calBuckets / 64
 )
 
-type calBucket struct{ head, tail *Event }
+type calBucket struct{ head, tail *event }
 
 type calendar struct {
 	summary uint64           // bit w set when occ[w] != 0
@@ -337,7 +302,7 @@ func slot(t Time) int { return int(t>>calWidthBits) & (calBuckets - 1) }
 
 // push files e in its bucket behind every event due no later: sequence
 // numbers only grow, so that is its (at, seq) place.
-func (c *calendar) push(e *Event) {
+func (c *calendar) push(e *event) {
 	i := slot(e.at)
 	b := &c.b[i]
 	switch {
@@ -381,7 +346,7 @@ func (c *calendar) first(from int) int {
 }
 
 // pop removes and returns the head of non-empty bucket i.
-func (c *calendar) pop(i int) *Event {
+func (c *calendar) pop(i int) *event {
 	b := &c.b[i]
 	e := b.head
 	b.head = e.next
@@ -397,7 +362,7 @@ func (c *calendar) pop(i int) *Event {
 
 // each calls visit on every calendar event, in no particular order; visit
 // may unlink the event it is given.
-func (c *calendar) each(visit func(*Event)) {
+func (c *calendar) each(visit func(*event)) {
 	for w, m := range c.occ {
 		for ; m != 0; m &= m - 1 {
 			for e := c.b[w<<6|bits.TrailingZeros64(m)].head; e != nil; {
@@ -419,7 +384,7 @@ func (c *calendar) each(visit func(*Event)) {
 
 const heapArity = 4
 
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -434,7 +399,7 @@ func eventLess(a, b *Event) bool {
 // exact (at, seq) order in all cases.
 type heapEntry struct {
 	key uint64
-	e   *Event
+	e   *event
 }
 
 const (
@@ -464,7 +429,7 @@ func entryLess(a, b *heapEntry) bool {
 	return a.key < b.key
 }
 
-func (k *Kernel) heapPush(e *Event) {
+func (k *Kernel) heapPush(e *event) {
 	h := append(k.far, heapEntry{key: eventKey(e.at, e.seq), e: e})
 	i := len(h) - 1
 	for i > 0 {
@@ -478,7 +443,7 @@ func (k *Kernel) heapPush(e *Event) {
 	k.far = h
 }
 
-func (k *Kernel) heapPop() *Event {
+func (k *Kernel) heapPop() *event {
 	h := k.far
 	top := h[0].e
 	n := len(h) - 1
@@ -514,35 +479,27 @@ func (k *Kernel) heapPop() *Event {
 // --- scheduling -------------------------------------------------------------
 
 // newEvent serves an event struct, preferring the free list.
-func (k *Kernel) newEvent() *Event {
+func (k *Kernel) newEvent() *event {
 	if n := len(k.pool); n > 0 {
 		e := k.pool[n-1]
 		k.pool = k.pool[:n-1]
 		k.stats.PoolReuses++
 		return e
 	}
-	return &Event{}
+	return &event{}
 }
 
-// recycle returns a pooled event to the free list.  Handle-bearing events
-// (At/After) are never recycled: a stale *Event held by the caller must stay
-// inert rather than alias a future event.
-func (k *Kernel) recycle(e *Event) {
-	if !e.pooled {
-		return
-	}
+// recycle returns an event that fired or was discarded to the free list.
+func (k *Kernel) recycle(e *event) {
 	e.fn = nil
-	e.afn = nil
 	e.arg = nil
-	e.cancelled = false
-	e.pooled = false
 	k.pool = append(k.pool, e)
 }
 
 // enqueue stamps and queues a prepared event.  Events for the current instant
 // take the FIFO ring, events within the calendar's span take the calendar,
 // and later events take the far heap.
-func (k *Kernel) enqueue(e *Event, t Time) {
+func (k *Kernel) enqueue(e *event, t Time) {
 	if t < k.now {
 		t = k.now
 	}
@@ -562,54 +519,31 @@ func (k *Kernel) enqueue(e *Event, t Time) {
 	k.heapPush(e)
 }
 
-// At schedules fn to run at virtual time t and returns a cancellable handle.
-// Scheduling in the past is clamped to the current time.
-func (k *Kernel) At(t Time, fn func()) *Event {
-	e := &Event{fn: fn}
-	k.enqueue(e, t)
-	return e
-}
+// runClosure is the callback of every Post/PostAt event: the closure itself
+// travels as the event's argument.  A func value is one pointer, so storing
+// it in an interface allocates nothing.
+func runClosure(fn any) { fn.(func())() }
 
-// After schedules fn to run d after the current virtual time.
-func (k *Kernel) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return k.At(k.now.Add(d), fn)
-}
+// PostAt schedules fn to run at virtual time t.  Scheduling in the past is
+// clamped to the current time.
+func (k *Kernel) PostAt(t Time, fn func()) { k.CallAt(t, runClosure, fn) }
 
-// PostAt schedules fn to run at virtual time t with no cancellation handle.
-// The backing event comes from the kernel's free list, so steady-state use
-// does not allocate.
-func (k *Kernel) PostAt(t Time, fn func()) {
-	e := k.newEvent()
-	e.fn = fn
-	e.pooled = true
-	k.enqueue(e, t)
-}
+// Post schedules fn to run d after the current virtual time; a negative d
+// counts as zero.
+func (k *Kernel) Post(d Duration, fn func()) { k.Call(d, runClosure, fn) }
 
-// Post schedules fn to run d after the current virtual time with no
-// cancellation handle (the pooled counterpart of After).
-func (k *Kernel) Post(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	k.PostAt(k.now.Add(d), fn)
-}
-
-// CallAt schedules fn(arg) at virtual time t with no cancellation handle.
-// Combined with a pre-bound fn it makes repeated scheduling completely
-// allocation-free: the event is pooled and no closure is created.
+// CallAt schedules fn(arg) at virtual time t.  Combined with a pre-bound fn
+// it makes repeated scheduling completely allocation-free: the event is
+// pooled and no closure is created.
 func (k *Kernel) CallAt(t Time, fn func(any), arg any) {
 	e := k.newEvent()
-	e.afn = fn
+	e.fn = fn
 	e.arg = arg
-	e.pooled = true
 	k.enqueue(e, t)
 }
 
-// Call schedules fn(arg) to run d after the current virtual time (the pooled,
-// argument-carrying counterpart of After).
+// Call schedules fn(arg) to run d after the current virtual time; a negative
+// d counts as zero.
 func (k *Kernel) Call(d Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
@@ -656,92 +590,76 @@ func (k *Kernel) RunFor(d Duration) Time { return k.RunUntil(k.now.Add(d)) }
 // happen while ring events remain; comparing the three front events by
 // (at, seq) therefore reproduces the exact global ordering of a single queue.
 func (k *Kernel) step(deadline Time) bool {
-	for {
-		var e *Event
-		from := fromRing
-		i := 0
-		if k.nowq.n > 0 {
-			e = k.nowq.peek()
-		}
-		if k.cal.summary != 0 {
-			i = k.cal.first(slot(k.now))
-			if c := k.cal.b[i].head; e == nil || eventLess(c, e) {
-				e, from = c, fromCalendar
-			}
-		}
-		if len(k.far) > 0 {
-			if f := k.far[0].e; e == nil || eventLess(f, e) {
-				e, from = f, fromFar
-			}
-		}
-		if e == nil {
-			return false
-		}
-		if !e.cancelled && deadline >= 0 && e.at > deadline {
-			return false
-		}
-		switch from {
-		case fromRing:
-			k.nowq.pop()
-		case fromCalendar:
-			k.cal.pop(i)
-		default:
-			k.heapPop()
-		}
-		if e.cancelled {
-			k.stats.EventsCancelled++
-			k.recycle(e)
-			continue
-		}
-		k.now = e.at
-		k.stats.EventsFired++
-		if telemetry.TraceEnabled() && k.traceSample.Hit() {
-			// Sampled kernel lane: one instant per kept event at its virtual
-			// firing time.  The guard is a single atomic load when no trace is
-			// active, and sampling is this kernel's own countdown — the event
-			// schedule cannot depend on it.
-			if k.tracePid == 0 {
-				k.tracePid = telemetry.NextTracePid()
-				telemetry.EmitProcessName(k.tracePid, "sim kernel")
-			}
-			telemetry.EmitInstant("kernel", "fire", k.tracePid, 0, int64(e.at), nil)
-		}
-		fn, afn, arg := e.fn, e.afn, e.arg
-		k.recycle(e) // safe: callback copied out, struct may be reused by fn itself
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return true
+	var e *event
+	from := fromRing
+	i := 0
+	if k.nowq.n > 0 {
+		e = k.nowq.peek()
 	}
+	if k.cal.summary != 0 {
+		i = k.cal.first(slot(k.now))
+		if c := k.cal.b[i].head; e == nil || eventLess(c, e) {
+			e, from = c, fromCalendar
+		}
+	}
+	if len(k.far) > 0 {
+		if f := k.far[0].e; e == nil || eventLess(f, e) {
+			e, from = f, fromFar
+		}
+	}
+	if e == nil || deadline >= 0 && e.at > deadline {
+		return false
+	}
+	switch from {
+	case fromRing:
+		k.nowq.pop()
+	case fromCalendar:
+		k.cal.pop(i)
+	default:
+		k.heapPop()
+	}
+	k.now = e.at
+	k.stats.EventsFired++
+	if telemetry.TraceEnabled() && k.traceSample.Hit() {
+		// Sampled kernel lane: one instant per kept event at its virtual
+		// firing time.  The guard is a single atomic load when no trace is
+		// active, and sampling is this kernel's own countdown — the event
+		// schedule cannot depend on it.
+		if k.tracePid == 0 {
+			k.tracePid = telemetry.NextTracePid()
+			telemetry.EmitProcessName(k.tracePid, "sim kernel")
+		}
+		telemetry.EmitInstant("kernel", "fire", k.tracePid, 0, int64(e.at), nil)
+	}
+	fn, arg := e.fn, e.arg
+	k.recycle(e) // safe: callback copied out, struct may be reused by fn itself
+	fn(arg)
+	return true
 }
 
 // Shutdown ends a run whose activities never finish on their own (an
-// endless rank loop, a traffic generator): it cancels every pending event —
+// endless rank loop, a traffic generator): it discards every pending event —
 // rank resumes and in-flight network events alike — counting each in
-// Stats.EventsCancelled, so none of them fires and their pooled structs
-// return to the free list.  It must be called from outside the
-// kernel (not from an event).  Calling Shutdown again cancels only events
-// scheduled since.
+// Stats.EventsCancelled, so none of them fires and their structs return to
+// the free list.  It must be called from outside the kernel (not from an
+// event).  Calling Shutdown again discards only events scheduled since.
 func (k *Kernel) Shutdown() {
 	for _, he := range k.far {
-		k.cancel(he.e)
+		k.discard(he.e)
 	}
 	k.far = k.far[:0]
-	k.cal.each(func(e *Event) {
+	k.cal.each(func(e *event) {
 		e.next = nil
-		k.cancel(e)
+		k.discard(e)
 	})
 	k.cal = calendar{}
 	for k.nowq.n > 0 {
-		k.cancel(k.nowq.pop())
+		k.discard(k.nowq.pop())
 	}
 }
 
-// cancel discards a pending event that Shutdown removed from its queue.
-func (k *Kernel) cancel(e *Event) {
+// discard recycles a pending event that Shutdown removed from its queue.
+func (k *Kernel) discard(e *event) {
 	k.stats.EventsCancelled++
-	e.cancelled = true
 	k.recycle(e)
 }

@@ -54,9 +54,9 @@ func TestDurationConversions(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	k := NewKernel(1)
 	var order []int
-	k.At(30, func() { order = append(order, 3) })
-	k.At(10, func() { order = append(order, 1) })
-	k.At(20, func() { order = append(order, 2) })
+	k.PostAt(30, func() { order = append(order, 3) })
+	k.PostAt(10, func() { order = append(order, 1) })
+	k.PostAt(20, func() { order = append(order, 2) })
 	k.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired out of order: %v", order)
@@ -71,7 +71,7 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func() { order = append(order, i) })
+		k.PostAt(5, func() { order = append(order, i) })
 	}
 	k.Run()
 	for i, v := range order {
@@ -81,25 +81,11 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	k := NewKernel(1)
-	fired := false
-	e := k.At(10, func() { fired = true })
-	e.Cancel()
-	k.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", k.Pending())
-	}
-}
-
 func TestSchedulingInPastClamps(t *testing.T) {
 	k := NewKernel(1)
 	var at Time
-	k.At(100, func() {
-		k.At(50, func() { at = k.Now() }) // in the past, should clamp to now
+	k.PostAt(100, func() {
+		k.PostAt(50, func() { at = k.Now() }) // in the past, should clamp to now
 	})
 	k.Run()
 	if at != 100 {
@@ -107,13 +93,14 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	}
 }
 
+// TestAfterNegativeClamps: a negative delay after now counts as zero.
 func TestAfterNegativeClamps(t *testing.T) {
 	k := NewKernel(1)
 	ran := false
-	k.After(-5, func() { ran = true })
+	k.Post(-5, func() { ran = true })
 	k.Run()
 	if !ran {
-		t.Fatal("After(-5) never ran")
+		t.Fatal("Post(-5) never ran")
 	}
 	if k.Now() != 0 {
 		t.Fatalf("now = %d, want 0", k.Now())
@@ -123,8 +110,8 @@ func TestAfterNegativeClamps(t *testing.T) {
 func TestRunUntilAdvancesClock(t *testing.T) {
 	k := NewKernel(1)
 	count := 0
-	k.At(10, func() { count++ })
-	k.At(200, func() { count++ })
+	k.PostAt(10, func() { count++ })
+	k.PostAt(200, func() { count++ })
 	k.RunUntil(100)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
@@ -150,17 +137,16 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-// TestShutdownBeforeFirstDispatch: Shutdown cancels every pending ring and
-// calendar event, counts them, and none fires — neither on a later Run nor
-// when a spent At handle is cancelled again.
+// TestShutdownBeforeFirstDispatch: Shutdown discards every pending ring,
+// calendar and far-heap event, counts them, and none fires on a later Run.
 func TestShutdownBeforeFirstDispatch(t *testing.T) {
 	k := NewKernel(1)
 	fired := 0
-	k.PostAt(0, func() { fired++ })         // ring
-	k.CallAt(0, func(any) { fired++ }, nil) // ring
-	k.Post(10, func() { fired++ })          // calendar, pooled
-	h := k.At(20, func() { fired++ })       // calendar, handle
-	k.Call(30, func(any) { fired++ }, nil)  // calendar, pooled
+	k.PostAt(0, func() { fired++ })                 // ring
+	k.CallAt(0, func(any) { fired++ }, nil)         // ring
+	k.Post(10, func() { fired++ })                  // calendar
+	k.PostAt(Time(Millisecond), func() { fired++ }) // far heap
+	k.Call(30, func(any) { fired++ }, nil)          // calendar
 	k.Shutdown()
 	if got := k.Stats().EventsCancelled; got != 5 {
 		t.Fatalf("cancelled = %d, want 5", got)
@@ -168,7 +154,6 @@ func TestShutdownBeforeFirstDispatch(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Fatalf("pending after shutdown = %d, want 0", k.Pending())
 	}
-	h.Cancel()
 	if end := k.Run(); end != 0 || fired != 0 {
 		t.Fatalf("after shutdown: clock %d and %d events fired, want 0 and 0", end, fired)
 	}
@@ -177,7 +162,7 @@ func TestShutdownBeforeFirstDispatch(t *testing.T) {
 		t.Fatalf("stats after shutdown = %+v, want 0 fired and 5 cancelled", st)
 	}
 	// The kernel stays usable: events posted after Shutdown run normally, on
-	// pooled structs the cancellation returned to the free list.
+	// structs Shutdown returned to the free list.
 	k.Post(5, func() { fired++ })
 	k.Run()
 	if fired != 1 || k.Stats().PoolReuses == 0 {
@@ -207,16 +192,24 @@ func TestDeterministicRandStreams(t *testing.T) {
 	}
 }
 
+// TestPendingCount: Pending counts the ring, the calendar and the far heap,
+// and an event leaves the count when it fires.
 func TestPendingCount(t *testing.T) {
 	k := NewKernel(1)
-	e1 := k.At(10, func() {})
-	k.At(20, func() {})
+	k.PostAt(0, func() {})
+	k.PostAt(10, func() {})
+	k.PostAt(20, func() {})
+	k.PostAt(Time(Millisecond), func() {})
+	if k.Pending() != 4 {
+		t.Fatalf("pending = %d, want 4", k.Pending())
+	}
+	k.RunUntil(15)
 	if k.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", k.Pending())
 	}
-	e1.Cancel()
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", k.Pending())
+	k.Run()
+	if k.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", k.Pending())
 	}
 }
 
@@ -235,7 +228,7 @@ func TestEventOrderProperty(t *testing.T) {
 			if at > max {
 				max = at
 			}
-			k.At(at, func() { fired = append(fired, k.Now()) })
+			k.PostAt(at, func() { fired = append(fired, k.Now()) })
 		}
 		k.Run()
 		if len(fired) != len(offsets) {
@@ -281,36 +274,7 @@ func TestSleepAccumulationProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkEventScheduling(b *testing.B) {
-	k := NewKernel(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.At(Time(i), func() {})
-		k.step(-1)
-	}
-}
-
 // --- hot-path and shutdown regression tests ---------------------------------
-
-func TestEventPoolDoesNotResurrectCancelledEvents(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	e := k.At(10, func() { fired++ })
-	e.Cancel()
-	k.Post(20, func() { fired += 10 })
-	k.Run()
-	if fired != 10 {
-		t.Fatalf("fired = %d, want 10 (cancelled handle event must not fire)", fired)
-	}
-	// A late Cancel on the spent handle must stay a no-op even though the
-	// kernel recycles event structs: handle-bearing events are never pooled.
-	e.Cancel()
-	k.Post(5, func() { fired += 100 })
-	k.Run()
-	if fired != 110 {
-		t.Fatalf("fired = %d, want 110 (late Cancel corrupted a pooled event)", fired)
-	}
-}
 
 func TestPooledEventsFireExactlyOnceAcrossReuse(t *testing.T) {
 	k := NewKernel(1)
@@ -329,20 +293,44 @@ func TestPooledEventsFireExactlyOnceAcrossReuse(t *testing.T) {
 	}
 }
 
+// TestPostAllocatesNothing: once the free list is warm, Post and Call
+// schedule and fire without allocating — Post's closure travels as the
+// event's argument, and a func value stored in an interface is not boxed.
+func TestPostAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	count := 0
+	fn := func() { count++ }
+	afn := func(any) { count++ }
+	k.Post(1, fn)
+	k.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		k.Post(1, fn)
+		k.PostAt(k.Now(), fn)
+		k.Call(2, afn, k)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Post/PostAt/Call allocate %v objects per round, want 0", allocs)
+	}
+	if count != 1+3*101 {
+		t.Fatalf("count = %d, want %d", count, 1+3*101)
+	}
+}
+
 func TestSameTimeSchedulingPreservesFIFO(t *testing.T) {
 	// Events created for the current instant take the FIFO ring; events for
 	// the same timestamp created earlier sit in the calendar.  The global
 	// (time, seq) order must hold across both structures.
 	k := NewKernel(1)
 	var order []int
-	k.At(5, func() { order = append(order, 1) })
-	k.At(5, func() {
+	k.PostAt(5, func() { order = append(order, 1) })
+	k.PostAt(5, func() {
 		order = append(order, 2)
-		k.At(5, func() { order = append(order, 4) })
-		k.PostAt(5, func() { order = append(order, 5) })
+		k.PostAt(5, func() { order = append(order, 4) })
+		k.Post(0, func() { order = append(order, 5) })
 		k.Call(0, func(a any) { order = append(order, a.(int)) }, 6)
 	})
-	k.At(5, func() { order = append(order, 3) })
+	k.PostAt(5, func() { order = append(order, 3) })
 	k.Run()
 	want := []int{1, 2, 3, 4, 5, 6}
 	if len(order) != len(want) {
@@ -360,14 +348,15 @@ func TestSameTimeSchedulingPreservesFIFO(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	k := NewKernel(1)
-	e := k.At(10, func() {})
-	e.Cancel()
 	k.Post(5, func() {})
 	// A two-step chain: a same-instant start event (ring) posting a follow-up
 	// one tick later, which reuses the start event's recycled struct.
 	k.PostAt(0, func() { k.Post(1, func() {}) })
 	k.Run()
-	want := Stats{EventsScheduled: 4, EventsFired: 3, EventsCancelled: 1, PoolReuses: 1, FastPathEvents: 1}
+	// One more event, on a recycled struct, that Shutdown discards.
+	k.Post(10, func() {})
+	k.Shutdown()
+	want := Stats{EventsScheduled: 4, EventsFired: 3, EventsCancelled: 1, PoolReuses: 2, FastPathEvents: 1}
 	if st := k.Stats(); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
@@ -440,8 +429,7 @@ func BenchmarkKernelQueue(b *testing.B) {
 
 // TestInstantIdle pins the guard behind every inline zero-length compute
 // resume: it holds exactly when no event is ordered at the current instant.
-// A cancelled event due now still counts (the answer is conservative).  The
-// case names say heap for the calendar and far heap alike.
+// The case names say heap for the calendar and far heap alike.
 func TestInstantIdle(t *testing.T) {
 	noop := func() {}
 	cases := []struct {
@@ -451,33 +439,25 @@ func TestInstantIdle(t *testing.T) {
 		setup func(k *Kernel, probe func())
 		want  bool
 	}{
-		{"nothing pending", func(k *Kernel, probe func()) { k.At(5, probe) }, true},
+		{"nothing pending", func(k *Kernel, probe func()) { k.PostAt(5, probe) }, true},
 		{"future heap event", func(k *Kernel, probe func()) {
-			k.At(5, probe)
-			k.At(9, noop)
-		}, true},
-		{"cancelled future heap event", func(k *Kernel, probe func()) {
-			k.At(5, probe)
-			k.At(9, noop).Cancel()
+			k.PostAt(5, probe)
+			k.PostAt(9, noop)
 		}, true},
 		{"same-instant ring event", func(k *Kernel, probe func()) {
-			k.At(5, func() {
+			k.PostAt(5, func() {
 				k.Post(0, noop)
 				probe()
 			})
 		}, false},
 		{"heap event due now", func(k *Kernel, probe func()) {
-			k.At(5, probe)
-			k.At(5, noop)
-		}, false},
-		{"cancelled heap event due now", func(k *Kernel, probe func()) {
-			k.At(5, probe)
-			k.At(5, noop).Cancel()
+			k.PostAt(5, probe)
+			k.PostAt(5, noop)
 		}, false},
 		{"same-instant events already fired", func(k *Kernel, probe func()) {
-			k.At(5, noop)
-			k.At(5, func() { k.Post(0, probe) })
-			k.At(6, noop)
+			k.PostAt(5, noop)
+			k.PostAt(5, func() { k.Post(0, probe) })
+			k.PostAt(6, noop)
 		}, true},
 	}
 	for _, c := range cases {

@@ -124,56 +124,97 @@ func ReducedOptions() Options { return core.TestOptions() }
 
 // Calibrate measures the idle switch with ImpactB and derives the M/G/1
 // service model used by the queue predictor.
-func Calibrate(o Options) (Calibration, error) { return core.Calibrate(o) }
+func Calibrate(o Options) (Calibration, error) {
+	art, err := core.ExecuteSpec(core.CalibrateSpec(o), nil)
+	if err != nil {
+		return Calibration{}, err
+	}
+	return *art.Calibration, nil
+}
 
 // MeasureAppImpact measures an application's impact signature: the probe
 // latency distribution (and inferred switch utilization) while it runs.
 func MeasureAppImpact(o Options, cal Calibration, app App) (Signature, error) {
-	return core.MeasureAppImpact(o, cal, app)
+	return measureSignature(core.AppImpactSpec(o, app, core.SlotAll), cal)
 }
 
 // MeasureInjectorImpact measures a CompressionB configuration's impact
 // signature.
 func MeasureInjectorImpact(o Options, cal Calibration, cfg InjectorConfig) (Signature, error) {
-	return core.MeasureInjectorImpact(o, cal, cfg)
+	return measureSignature(core.InjectorImpactSpec(o, cfg), cal)
 }
 
 // MeasureAppBaseline measures an application's iteration rate on an otherwise
 // idle switch.
 func MeasureAppBaseline(o Options, app App) (Runtime, error) {
-	return core.MeasureAppBaseline(o, app)
+	return measureRuntime(core.BaselineSpec(o, app, core.SlotAll))
 }
 
 // MeasureAppUnderInjector measures an application's iteration rate while a
 // CompressionB configuration consumes part of the switch.
 func MeasureAppUnderInjector(o Options, app App, cfg InjectorConfig) (Runtime, error) {
-	return core.MeasureAppUnderInjector(o, app, cfg)
+	return measureRuntime(core.CompressSpec(o, app, cfg, core.SlotAll))
 }
 
 // MeasureAppPair measures the iteration rates of two applications sharing the
 // switch.
 func MeasureAppPair(o Options, a, b App) (Runtime, Runtime, error) {
-	return core.MeasureAppPair(o, a, b)
+	return measurePair(core.PairSpec(o, a, b, false))
 }
 
 // MeasureAppPairPlaced measures a co-run with each application restricted to
 // one half of the machine's placement-policy node order (a on SlotA, b on
 // SlotB) — the cross-switch ground truth on multi-leaf topologies.
 func MeasureAppPairPlaced(o Options, a, b App) (Runtime, Runtime, error) {
-	return core.MeasureAppPairPlaced(o, a, b)
+	return measurePair(core.PairSpec(o, a, b, true))
 }
 
 // MeasureAppBaselineSlot measures an application's iteration rate alone in
 // one half of the machine, the baseline placed co-runs are judged against.
 func MeasureAppBaselineSlot(o Options, app App, slot Slot) (Runtime, error) {
-	return core.MeasureAppBaselineSlot(o, app, slot)
+	return measureRuntime(core.BaselineSpec(o, app, slot))
 }
 
 // BuildProfile builds an application's compression profile over the given
 // injector grid.
 func BuildProfile(o Options, cal Calibration, app App, grid []InjectorConfig,
 	injSignatures map[string]Signature) (Profile, error) {
-	return core.BuildProfile(o, cal, app, grid, injSignatures)
+	return core.AssembleProfile(func(spec RunSpec) (core.Artifact, error) {
+		if spec.Kind == core.RunInjectorImpact {
+			if sig, ok := injSignatures[spec.Injector.Label()]; ok {
+				return core.Artifact{Signature: &sig}, nil
+			}
+		}
+		return core.ExecuteSpec(spec, &cal)
+	}, o, app, grid, core.SlotAll)
+}
+
+// measureSignature runs an impact spec live and returns its signature.
+func measureSignature(spec RunSpec, cal Calibration) (Signature, error) {
+	art, err := core.ExecuteSpec(spec, &cal)
+	if err != nil {
+		return Signature{}, err
+	}
+	return *art.Signature, nil
+}
+
+// measureRuntime runs a baseline or compression spec live and returns its
+// runtime.
+func measureRuntime(spec RunSpec) (Runtime, error) {
+	art, err := core.ExecuteSpec(spec, nil)
+	if err != nil {
+		return Runtime{}, err
+	}
+	return *art.Runtime, nil
+}
+
+// measurePair runs a pair spec live and returns both runtimes.
+func measurePair(spec RunSpec) (Runtime, Runtime, error) {
+	art, err := core.ExecuteSpec(spec, nil)
+	if err != nil {
+		return Runtime{}, Runtime{}, err
+	}
+	return *art.Runtime, *art.RuntimeB, nil
 }
 
 // DegradationPercent is the paper's slowdown metric:

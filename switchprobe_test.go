@@ -75,6 +75,32 @@ func TestFacadeDegradationPercent(t *testing.T) {
 	}
 }
 
+// TestBuildProfileReusesInjectorSignatures: BuildProfile takes an injector
+// signature the caller already holds instead of measuring it again.
+func TestBuildProfileReusesInjectorSignatures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profile measurement is slow; skipped in -short mode")
+	}
+	opts := ReducedOptions()
+	cal, err := Calibrate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := ApplicationByName("MCB", opts.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewInjectorConfig(1, 1, 2.5e6)
+	held := Signature{Component: cfg.Label(), UtilizationPct: 42.5, Mean: 3e-6, StdDev: 1e-6}
+	prof, err := BuildProfile(opts, cal, app, []InjectorConfig{cfg}, map[string]Signature{cfg.Label(): held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := prof.Points[0]; p.UtilizationPct != held.UtilizationPct || p.ImpactMean != held.Mean {
+		t.Fatalf("profile point %+v did not take the held signature %+v", p, held)
+	}
+}
+
 func TestFacadeMeasurementWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement workflow is slow; skipped in -short mode")
